@@ -33,6 +33,7 @@ object GlobalLowerBound {
 
 /** Problem 3.2: proportional bound `α · s_D(p) · k / |D|`. */
 final case class ProportionalLowerBound(alpha: Double, dSize: Long) extends BiasBound {
+  require(alpha > 0 && alpha < Double.PositiveInfinity, s"α must be positive and finite, got $alpha")
   require(dSize > 0, "dataset must be non-empty")
 
   override def threshold(sD: Long, k: Int): Double =
@@ -56,8 +57,9 @@ final case class ProportionalLowerBound(alpha: Double, dSize: Long) extends Bias
 }
 
 /** Cooperative wall-clock budget for the searches; checked once per BFS
-  * wave so a timed-out run returns a partial result quickly (the paper
-  * uses a 10-minute timeout in Figures 4–5).
+  * wave and, in the incremental algorithms, once per k, so a timed-out
+  * run returns a partial result quickly (the paper uses a 10-minute
+  * timeout in Figures 4–5).
   */
 final class Budget(deadlineNanos: Long) {
   def expired: Boolean = System.nanoTime() > deadlineNanos

@@ -66,10 +66,7 @@ final class DatasetIndex(
   }
 
   /** Does the tuple ranked `rank` (1-based) satisfy `p`? */
-  def tupleSatisfies(rank: Int, p: Pattern): Boolean = {
-    val r = rows(rank - 1)
-    p.attrs.forall(a => r(a) == p.vals(a))
-  }
+  def tupleSatisfies(rank: Int, p: Pattern): Boolean = p.matches(rows(rank - 1))
 
   /** Render a pattern against this schema. */
   def render(p: Pattern): String = p.render(attrNames, domains)

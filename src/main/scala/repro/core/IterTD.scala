@@ -32,6 +32,7 @@ object IterTD {
       budget: Budget = Budget.unlimited,
   ): DetectionResult = {
     require(kMin >= 1 && kMax >= kMin && kMax <= counter.datasetSize, s"bad range [$kMin,$kMax]")
+    require(tauS >= 1, s"τ_s must be at least 1, got $tauS")
     var res = SortedMap.empty[Int, Set[Pattern]]
     var examined = 0L
     var k = kMin

@@ -44,6 +44,17 @@ final case class Pattern(vals: Vector[Int]) {
     true
   }
 
+  /** True iff the encoded tuple `row` satisfies this pattern. */
+  def matches(row: Array[Int]): Boolean = {
+    var i = 0
+    while (i < vals.length) {
+      val v = vals(i)
+      if (v != Pattern.Wildcard && row(i) != v) return false
+      i += 1
+    }
+    true
+  }
+
   /** True iff `this` is strictly more general than `other` (proper subset). */
   def strictlySubsumes(other: Pattern): Boolean =
     this != other && subsumes(other)
@@ -90,16 +101,11 @@ object Pattern {
 
   /** Partition `patterns` into (most general, dominated): a pattern is
     * dominated iff some other pattern in the set strictly subsumes it.
-    * Used to maintain the `Res` / `DRes` split of Algorithms 2–3.
+    * A one-shot use of [[MostGeneral]], which the searches keep current.
     */
   def splitMostGeneral(patterns: Iterable[Pattern]): (Set[Pattern], Set[Pattern]) = {
-    val byLevel = patterns.toSeq.distinct.sortBy(_.level)
-    val minimal = scala.collection.mutable.LinkedHashSet.empty[Pattern]
-    val dominated = scala.collection.mutable.LinkedHashSet.empty[Pattern]
-    for (p <- byLevel) {
-      if (minimal.exists(_.strictlySubsumes(p))) dominated += p
-      else minimal += p
-    }
-    (minimal.toSet, dominated.toSet)
+    val mg = new MostGeneral
+    mg.update(Nil, patterns)
+    (mg.res, mg.members.toSet -- mg.res)
   }
 }

@@ -37,10 +37,7 @@ trait PatternCounter {
   def rankedRow(rank: Int): Array[Int]
 
   /** Does the tuple ranked `rank` satisfy `p`? */
-  final def tupleSatisfies(rank: Int, p: Pattern): Boolean = {
-    val r = rankedRow(rank)
-    p.attrs.forall(a => r(a) == p.vals(a))
-  }
+  final def tupleSatisfies(rank: Int, p: Pattern): Boolean = p.matches(rankedRow(rank))
 }
 
 /** Bitset-backed counter over a [[DatasetIndex]]. */

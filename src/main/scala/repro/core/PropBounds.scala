@@ -18,13 +18,21 @@ import scala.collection.mutable
   * buckets `k̃ → patterns` (entries are verified lazily when their bucket
   * is reached), and resumes the top-down search below any node that flips
   * from biased to adequately represented and whose subtree had never been
-  * expanded. `Res[k]` is the set of most general currently-biased visited
-  * nodes; correctness (Proposition 4.8) is enforced by tests against
-  * ITERTD on randomized inputs.
+  * expanded.
+  *
+  * `Res[k]` is the set of most general currently-biased visited nodes,
+  * kept in a [[MostGeneral]]. Each k hands it only that k's delta: the
+  * nodes that recovered, and the nodes that became biased (by reaching
+  * `k̃`, or newly found below a recovered node). Only those, and the
+  * members a leaving `Res` member subsumed, are re-classified; while
+  * nothing flips successive k share one `Res` snapshot. The budget is
+  * checked at the top of every k, as well as in each BFS wave.
+  * Correctness (Proposition 4.8) is enforced by tests against ITERTD on
+  * randomized inputs.
   */
 object PropBounds {
 
-  private final class NodeState(val sD: Long, var cnt: Long)
+  private final class NodeState(val sD: Long, var cnt: Long, var biased: Boolean)
 
   def run(
       counter: PatternCounter,
@@ -35,6 +43,7 @@ object PropBounds {
       budget: Budget = Budget.unlimited,
   ): DetectionResult = {
     require(kMin >= 1 && kMax >= kMin && kMax <= counter.datasetSize, s"bad range [$kMin,$kMax]")
+    require(tauS >= 1, s"τ_s must be at least 1, got $tauS")
     val bound = ProportionalLowerBound(alpha, counter.datasetSize)
 
     var res = SortedMap.empty[Int, Set[Pattern]]
@@ -45,8 +54,8 @@ object PropBounds {
     val visited = mutable.LinkedHashMap.empty[Pattern, NodeState]
     // Nodes whose search-tree children have been generated.
     val expanded = mutable.HashSet.empty[Pattern]
-    // Currently biased visited nodes.
-    val biasedSet = mutable.LinkedHashSet.empty[Pattern]
+    // Currently biased visited nodes, split into Res and DRes.
+    val biased = new MostGeneral
     // The paper's K: k̃ → candidate patterns (lazily verified on arrival).
     val kBuckets = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Pattern]]
 
@@ -55,15 +64,17 @@ object PropBounds {
       if (kt <= kMax) kBuckets.getOrElseUpdate(kt, mutable.ArrayBuffer.empty) += p
     }
 
-    /** BFS below `frontier0` at position k, recording node states. */
-    def explore(frontier0: Seq[Pattern], k: Int): Unit = {
+    /** BFS below `frontier0` at position k, recording node states and
+      * collecting the biased nodes found into `entered`.
+      */
+    def explore(frontier0: Seq[Pattern], k: Int, entered: mutable.ArrayBuffer[Pattern]): Unit = {
       if (frontier0.isEmpty) return
       val (ex, to) = TopDownSearch.bfs(counter, bound, tauS, k, frontier0, budget) {
         case TopDownSearch.Biased(p, sD, cnt) =>
-          visited(p) = new NodeState(sD, cnt)
-          biasedSet += p
+          visited(p) = new NodeState(sD, cnt, biased = true)
+          entered += p
         case TopDownSearch.Open(p, sD, cnt) =>
-          val st = new NodeState(sD, cnt)
+          val st = new NodeState(sD, cnt, biased = false)
           visited(p) = st
           expanded += p
           scheduleKTilde(p, st)
@@ -73,35 +84,23 @@ object PropBounds {
       timedOut ||= to
     }
 
-    explore(Pattern.root(counter.width).searchTreeChildren(counter.domainSizes), kMin)
-    var currentRes: Set[Pattern] = Set.empty
-    if (!timedOut) {
-      currentRes = Pattern.splitMostGeneral(biasedSet)._1
-      res += kMin -> currentRes
-    }
-
-    var k = kMin + 1
+    var k = kMin
     while (k <= kMax && !timedOut) {
-      var changed = false
-      val newRow = counter.rankedRow(k)
+      val left = mutable.ArrayBuffer.empty[Pattern]
+      val entered = mutable.ArrayBuffer.empty[Pattern]
+      if (budget.expired) timedOut = true
+      else if (k == kMin) explore(Pattern.root(counter.width).searchTreeChildren(counter.domainSizes), k, entered)
+      else {
+        val newRow = counter.rankedRow(k)
 
-      // 1. Patterns the new tuple satisfies: bump counts; biased ones may
-      //    recover (and then their cut subtree must be explored).
-      val recovered = mutable.ArrayBuffer.empty[Pattern]
-      for ((p, st) <- visited) {
-        var sat = true
-        val attrs = p.attrs
-        var i = 0
-        while (sat && i < attrs.length) {
-          val a = attrs(i)
-          if (newRow(a) != p.vals(a)) sat = false
-          i += 1
-        }
-        if (sat) {
+        // 1. Patterns the new tuple satisfies: bump counts; biased ones may
+        //    recover (and then their cut subtree must be explored).
+        val recovered = mutable.ArrayBuffer.empty[Pattern]
+        for ((p, st) <- visited if p.matches(newRow)) {
           st.cnt += 1
-          if (biasedSet.contains(p) && !bound.biased(st.cnt, st.sD, k)) {
-            biasedSet -= p
-            changed = true
+          if (st.biased && !bound.biased(st.cnt, st.sD, k)) {
+            st.biased = false
+            left += p
             scheduleKTilde(p, st)
             if (!expanded.contains(p)) {
               expanded += p
@@ -109,29 +108,28 @@ object PropBounds {
             }
           }
         }
-      }
-      explore(recovered.toSeq.flatMap(_.searchTreeChildren(counter.domainSizes)), k)
-      if (recovered.nonEmpty) changed = true
+        explore(recovered.toSeq.flatMap(_.searchTreeChildren(counter.domainSizes)), k, entered)
 
-      // 2. Patterns reaching their k̃ this round become biased without any
-      //    count change. Entries are stale-tolerant: verify with the live
-      //    count; if not biased yet (count grew since scheduling),
-      //    reschedule at the recomputed k̃.
-      kBuckets.remove(k).foreach { bucket =>
-        for (p <- bucket) {
-          val st = visited(p)
-          if (!biasedSet.contains(p)) {
-            if (bound.biased(st.cnt, st.sD, k)) {
-              biasedSet += p
-              changed = true
-            } else scheduleKTilde(p, st)
+        // 2. Patterns reaching their k̃ this round become biased without any
+        //    count change. Entries are stale-tolerant: verify with the live
+        //    count; if not biased yet (count grew since scheduling),
+        //    reschedule at the recomputed k̃.
+        kBuckets.remove(k).foreach { bucket =>
+          for (p <- bucket) {
+            val st = visited(p)
+            if (!st.biased) {
+              if (bound.biased(st.cnt, st.sD, k)) {
+                st.biased = true
+                entered += p
+              } else scheduleKTilde(p, st)
+            }
           }
         }
       }
 
       if (!timedOut) {
-        if (changed) currentRes = Pattern.splitMostGeneral(biasedSet)._1
-        res += k -> currentRes
+        biased.update(left, entered)
+        res += k -> biased.res
       }
       k += 1
     }

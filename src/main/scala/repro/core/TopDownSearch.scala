@@ -87,12 +87,13 @@ object TopDownSearch {
   ): Snapshot = {
     val res  = mutable.ArrayBuffer.empty[Pattern]
     val dres = mutable.ArrayBuffer.empty[Pattern]
+    val biased = new MostGeneral
     val frontier0 = Pattern.root(counter.width).searchTreeChildren(counter.domainSizes)
     val (examined, timedOut) = bfs(counter, bound, tauS, k, frontier0, budget) {
       case Biased(p, _, _) =>
         // BFS visits levels in order, so any subsuming pattern is already
-        // in res — this is the paper's `update` procedure.
-        if (res.exists(_.strictlySubsumes(p))) dres += p else res += p
+        // tracked and no later one evicts p — the paper's `update` procedure.
+        if (biased.add(p)) res += p else dres += p
       case _ => ()
     }
     Snapshot(res.toVector, dres.toVector, examined, timedOut)

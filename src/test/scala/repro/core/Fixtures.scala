@@ -63,12 +63,12 @@ object RunningExample {
   */
 object RandomData {
 
-  /** Random index: `n` tuples, attribute cardinalities drawn from 2–3;
-    * position i holds the rank-(i+1) tuple.
+  /** Random index: `n` tuples, attribute cardinalities drawn from
+    * 2–`maxCard`; position i holds the rank-(i+1) tuple.
     */
-  def index(seed: Long, n: Int = 40, m: Int = 4): DatasetIndex = {
+  def index(seed: Long, n: Int = 40, m: Int = 4, maxCard: Int = 3): DatasetIndex = {
     val rnd = new Random(seed)
-    val cards = IndexedSeq.fill(m)(2 + rnd.nextInt(2))
+    val cards = IndexedSeq.fill(m)(2 + rnd.nextInt(maxCard - 1))
     val rows = Array.fill(n)(Array.tabulate(m)(a => rnd.nextInt(cards(a))))
     val names = IndexedSeq.tabulate(m)(i => s"A$i")
     val doms = cards.map(c => IndexedSeq.tabulate(c)(_.toString))
@@ -81,5 +81,24 @@ object RandomData {
     val step = 1 + rnd.nextInt(5)
     val base = 1 + rnd.nextInt(3)
     GlobalLowerBound(k => (base + (k / step)).toDouble)
+  }
+}
+
+/** Delegating counter that sleeps `sleepMillis` on the first read of the
+  * tuple ranked `slowRank`: makes a deadline pass between two k steps.
+  */
+final class SlowRowCounter(inner: PatternCounter, slowRank: Int, sleepMillis: Long) extends PatternCounter {
+  private var slept = false
+  override def width: Int = inner.width
+  override def domainSizes: IndexedSeq[Int] = inner.domainSizes
+  override def datasetSize: Long = inner.datasetSize
+  override def countBatch(patterns: Seq[Pattern], k: Int): Map[Pattern, (Long, Long)] =
+    inner.countBatch(patterns, k)
+  override def rankedRow(rank: Int): Array[Int] = {
+    if (rank == slowRank && !slept) {
+      slept = true
+      Thread.sleep(sleepMillis)
+    }
+    inner.rankedRow(rank)
   }
 }

@@ -70,6 +70,45 @@ class GlobalBoundsSpec extends AnyFunSuite {
       assert(got.resByK == base.resByK, s"seed=$seed")
     }
 
+  for (seed <- 0 until 12)
+    test(s"equivalent to ITERTD on random data with domains up to 6 (seed $seed)") {
+      val rix = RandomData.index(seed + 300, n = 80, m = 4, maxCard = 6)
+      val c = new LocalPatternCounter(rix)
+      val bound =
+        if (seed % 2 == 0) GlobalLowerBound(_ => (1 + seed % 3).toDouble)
+        else RandomData.stepBound(seed, 60)
+      val tauS = 2 + seed % 3
+      val got  = GlobalBounds.run(c, bound, tauS, 2, 60)
+      val base = IterTD.run(c, bound, tauS, 2, 60)
+      assert(got.resByK == base.resByK, s"seed=$seed")
+    }
+
+  test("running example, k ∈ [4,16]: exact work and Res[k] for GLOBALBOUNDS and ITERTD") {
+    val bound = GlobalLowerBound(k => if (k < 10) 2.0 else 3.0)
+    val expect = BruteForce.run(ix, bound, 4, 4, 16)
+    val opt  = GlobalBounds.run(counter, bound, tauS = 4, kMin = 4, kMax = 16)
+    val base = IterTD.run(counter, bound, tauS = 4, kMin = 4, kMax = 16)
+    assert(opt.resByK == expect && base.resByK == expect)
+    assert(expect.values.map(_.size).toSeq == Seq(6, 9, 9, 8, 5, 4, 10, 7, 5, 3, 0, 0, 0))
+    assert(opt.examined == 177L)
+    assert(base.examined == 828L)
+  }
+
+  test("the budget is checked once per k, between searches") {
+    // Every level-1 pattern stays biased, so no k after kMin runs a BFS
+    // wave; the deadline passes while R(D)[5] is read.
+    val bound = GlobalLowerBound(_ => 100.0)
+    val slow = new SlowRowCounter(counter, slowRank = 5, sleepMillis = 700)
+    val got = GlobalBounds.run(slow, bound, 1, 4, 16, Budget.ofMillis(500))
+    assert(got.timedOut)
+    assert(got.resByK.keySet == Set(4, 5))
+    assert(got.resByK == IterTD.run(counter, bound, 1, 4, 5).resByK)
+  }
+
+  test("rejects τ_s < 1") {
+    intercept[IllegalArgumentException](GlobalBounds.run(counter, GlobalLowerBound(_ => 2.0), 0, 4, 5))
+  }
+
   test("Proposition 4.3 sanity: the new tuple affects at most half the tracked patterns") {
     // For every k, the tuple R(D)[k] satisfies at most half of any sibling
     // value-pair set; check the weaker observable: affected ≤ |B|.

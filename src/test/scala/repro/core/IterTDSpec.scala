@@ -37,6 +37,11 @@ class IterTDSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](IterTD.run(counter, GlobalLowerBound(_ => 2.0), 4, 5, 17))
   }
 
+  test("rejects τ_s < 1") {
+    intercept[IllegalArgumentException](IterTD.run(counter, GlobalLowerBound(_ => 2.0), 0, 4, 5))
+    intercept[IllegalArgumentException](IterTD.run(counter, GlobalLowerBound(_ => 2.0), -3, 4, 5))
+  }
+
   test("timed-out run reports a prefix of the range") {
     val res = IterTD.run(counter, GlobalLowerBound(_ => 2.0), 4, 4, 10, Budget.ofMillis(-1))
     assert(res.timedOut && res.resByK.isEmpty)

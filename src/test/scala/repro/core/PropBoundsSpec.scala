@@ -66,6 +66,44 @@ class PropBoundsSpec extends AnyFunSuite {
       assert(got.resByK == base.resByK, s"seed=$seed alpha=$alpha")
     }
 
+  for (seed <- 0 until 12)
+    test(s"equivalent to ITERTD on random data with domains up to 6 (seed $seed)") {
+      val rix = RandomData.index(seed + 700, n = 80, m = 4, maxCard = 6)
+      val c = new LocalPatternCounter(rix)
+      val alpha = 0.5 + 0.1 * (seed % 6)
+      val tauS = 2 + seed % 3
+      val got  = PropBounds.run(c, alpha, tauS, 2, 60)
+      val base = IterTD.run(c, ProportionalLowerBound(alpha, rix.size.toLong), tauS, 2, 60)
+      assert(got.resByK == base.resByK, s"seed=$seed alpha=$alpha tauS=$tauS")
+    }
+
+  test("running example, k ∈ [4,16]: exact work and Res[k] for PROPBOUNDS and ITERTD") {
+    val bound = ProportionalLowerBound(0.9, 16)
+    val expect = BruteForce.run(ix, bound, 5, 4, 16)
+    val opt  = PropBounds.run(counter, 0.9, tauS = 5, kMin = 4, kMax = 16)
+    val base = IterTD.run(counter, bound, tauS = 5, kMin = 4, kMax = 16)
+    assert(opt.resByK == expect && base.resByK == expect)
+    assert(expect.values.map(_.size).toSeq == Seq(3, 4, 4, 4, 3, 4, 3, 0, 3, 1, 1, 1, 0))
+    assert(opt.examined == 45L)
+    assert(base.examined == 453L)
+  }
+
+  test("the budget is checked once per k, between searches") {
+    // With α = |D| every level-1 pattern stays biased, so no k after kMin
+    // runs a BFS wave; the deadline passes while R(D)[5] is read.
+    val slow = new SlowRowCounter(counter, slowRank = 5, sleepMillis = 700)
+    val got = PropBounds.run(slow, 16.0, 1, 4, 16, Budget.ofMillis(500))
+    assert(got.timedOut)
+    assert(got.resByK.keySet == Set(4, 5))
+    assert(got.resByK == IterTD.run(counter, ProportionalLowerBound(16.0, 16), 1, 4, 5).resByK)
+  }
+
+  test("rejects τ_s < 1 and α that is not positive and finite") {
+    intercept[IllegalArgumentException](PropBounds.run(counter, 0.9, 0, 4, 5))
+    for (alpha <- Seq(0.0, -0.5, Double.NaN, Double.PositiveInfinity))
+      intercept[IllegalArgumentException](PropBounds.run(counter, alpha, 4, 4, 5))
+  }
+
   test("status can oscillate: a pattern may leave and re-enter the result across k") {
     // Find a witness in random data: a pattern biased at some k, not at
     // k+1, biased again later — the regime PROPBOUNDS must track.

@@ -88,6 +88,12 @@ class TopDownSearchSpec extends AnyFunSuite {
     }
   }
 
+  test("proportional bound rejects α that is not positive and finite") {
+    // α = 0 with cnt = 0 would send kTilde walking toward Int.MaxValue.
+    for (alpha <- Seq(0.0, -1.0, Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity))
+      intercept[IllegalArgumentException](ProportionalLowerBound(alpha, 16))
+  }
+
   // ---- engine behaviour ----
 
   test("τ_s above dataset size yields an empty result") {
