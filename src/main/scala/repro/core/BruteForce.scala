@@ -11,9 +11,15 @@ import scala.collection.mutable
   * Enumerates the entire τ_s region of the pattern graph (it is downward
   * closed: a sub-pattern of a large pattern is at least as large), then
   * applies the definition literally for each k. Exponential — use on
-  * small schemas only.
+  * small schemas only. Counts are literal scans of `index.rows`, so the
+  * oracle shares no code with the counting kernel it checks.
   */
 object BruteForce {
+
+  private def sizeD(index: DatasetIndex, p: Pattern): Long = index.rows.count(p.matches).toLong
+
+  private def sizeTopK(index: DatasetIndex, p: Pattern, k: Int): Long =
+    index.rows.iterator.take(k).count(p.matches).toLong
 
   /** All patterns with `s_D ≥ τ_s`, enumerated via the search tree. */
   def tauRegion(index: DatasetIndex, tauS: Long): Vector[Pattern] = {
@@ -22,7 +28,7 @@ object BruteForce {
     queue ++= Pattern.root(index.width).searchTreeChildren(index.domainSizes)
     while (queue.nonEmpty) {
       val p = queue.dequeue()
-      if (index.sizeD(p) >= tauS) {
+      if (sizeD(index, p) >= tauS) {
         out += p
         queue ++= p.searchTreeChildren(index.domainSizes)
       }
@@ -38,11 +44,11 @@ object BruteForce {
       kMax: Int,
   ): SortedMap[Int, Set[Pattern]] = {
     val region = tauRegion(index, tauS)
-    val sizes  = region.map(p => p -> index.sizeD(p).toLong).toMap
+    val sizes  = region.map(p => p -> sizeD(index, p)).toMap
     var res = SortedMap.empty[Int, Set[Pattern]]
     for (k <- kMin to kMax) {
       val biased: Set[Pattern] =
-        region.filter(p => bound.biased(index.sizeTopK(p, k).toLong, sizes(p), k)).toSet
+        region.filter(p => bound.biased(sizeTopK(index, p, k), sizes(p), k)).toSet
       // NB: sub-patterns of a τ_s pattern are themselves above τ_s, so the
       // "all proper sub-patterns adequately represented" check only needs
       // to look inside the biased set.

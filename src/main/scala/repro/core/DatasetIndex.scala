@@ -1,14 +1,18 @@
 package repro.core
 
-import java.util.BitSet
-
 /** In-memory index of a ranked, categorically-encoded dataset.
   *
   * Tuples are stored in rank order (position 0 = rank 1). For every
-  * (attribute, value) pair a [[java.util.BitSet]] over positions records
-  * which tuples carry that value, so a pattern's support is the
-  * cardinality of the AND of its attribute-value bitsets, and its count
-  * in the top-k is the cardinality restricted to positions `< k`.
+  * (attribute, value) pair an `Array[Long]` of ⌈n/64⌉ words records which
+  * positions carry that value (bit `i & 63` of word `i >>> 6`). A
+  * pattern's support is the popcount of the AND of its attribute-value
+  * words; its count in the top-k is the same popcount over the first k
+  * positions.
+  *
+  * All counting goes through [[countBatch]]. A search-tree child
+  * (Definition 4.1) is its parent plus one attribute-value, so the kernel
+  * keeps the parent's AND in a scratch buffer while consecutive patterns
+  * share a parent, and counts each child with one AND + popcount pass.
   *
   * @param rows        encoded tuples in rank order; `rows(i)(a)` is the
   *                    value index of attribute `a` in the rank-(i+1) tuple
@@ -30,40 +34,116 @@ final class DatasetIndex(
   /** Number of attributes. */
   val width: Int = domainSizes.length
 
-  private val bitsets: Array[Array[BitSet]] = {
-    val bs = Array.tabulate(width)(a => Array.fill(domainSizes(a))(new BitSet(size)))
+  private val nWords: Int = (size + 63) >>> 6
+
+  /** `words(a)(v)`: positions whose tuple has value `v` for attribute `a`. */
+  private val words: Array[Array[Array[Long]]] = {
+    val ws = Array.tabulate(width)(a => Array.fill(domainSizes(a))(new Array[Long](nWords)))
     var i = 0
     while (i < rows.length) {
       val r = rows(i)
       var a = 0
       while (a < width) {
-        bs(a)(r(a)).set(i)
+        ws(a)(r(a))(i >>> 6) |= 1L << i
         a += 1
       }
       i += 1
     }
-    bs
+    ws
   }
 
-  /** Bitset of rank positions whose tuples satisfy `p` (root = all). */
-  def matchBits(p: Pattern): BitSet = {
-    val out = new BitSet(size)
-    out.set(0, size)
-    p.attrs.foreach(a => out.and(bitsets(a)(p.vals(a))))
-    out
+  /** Counts every pattern of `patterns`, in order: `sD(i)` receives
+    * s_D and `topK(i)` receives s_{R^k(D)} of the i-th pattern.
+    *
+    * Allocates one scratch buffer per call and nothing per pattern. The
+    * buffer holds the AND of the current parent (the pattern with its
+    * [[Pattern.maxIdx]] attribute set to wildcard); it is recomputed only
+    * when the parent changes, so a batch that lists siblings next to each
+    * other — as the BFS does — pays one pass per child.
+    */
+  def countBatch(patterns: Iterable[Pattern], k: Int, sD: Array[Int], topK: Array[Int]): Unit = {
+    require(k >= 0, s"k must be non-negative: $k")
+    val kk = math.min(k, size)
+    val kFull = kk >>> 6
+    val kMask = (1L << kk) - 1 // low (kk & 63) bits; unused when kk & 63 == 0
+    val scratch = new Array[Long](nWords)
+    var parentOf: Pattern = null // scratch holds the AND of this pattern's parent
+    var parentM = -1             // parentOf.maxIdx
+    var i = 0
+    val it = patterns.iterator
+    while (it.hasNext) {
+      val p = it.next()
+      val m = p.maxIdx
+      if (m < 0) {
+        sD(i) = size
+        topK(i) = kk
+      } else {
+        if (m != parentM || !sameBelow(p, parentOf, m)) {
+          loadParent(p, m, scratch)
+          parentOf = p
+          parentM = m
+        }
+        val leaf = words(m)(p.vals(m))
+        var d = 0
+        var j = 0
+        while (j < nWords) {
+          d += java.lang.Long.bitCount(scratch(j) & leaf(j))
+          j += 1
+        }
+        var t = 0
+        j = 0
+        while (j < kFull) {
+          t += java.lang.Long.bitCount(scratch(j) & leaf(j))
+          j += 1
+        }
+        if ((kk & 63) != 0) t += java.lang.Long.bitCount(scratch(kFull) & leaf(kFull) & kMask)
+        sD(i) = d
+        topK(i) = t
+      }
+      i += 1
+    }
+  }
+
+  /** Do `p` and `q` agree on every attribute `< m`? With both at
+    * `maxIdx == m`, that means they have the same parent.
+    */
+  private def sameBelow(p: Pattern, q: Pattern, m: Int): Boolean = {
+    var a = 0
+    while (a < m && p.vals(a) == q.vals(a)) a += 1
+    a == m
+  }
+
+  /** Fill `scratch` with the AND of `p`'s constraints on attributes `< m`. */
+  private def loadParent(p: Pattern, m: Int, scratch: Array[Long]): Unit = {
+    java.util.Arrays.fill(scratch, -1L)
+    var a = 0
+    while (a < m) {
+      val v = p.vals(a)
+      if (v != Pattern.Wildcard) {
+        val w = words(a)(v)
+        var j = 0
+        while (j < nWords) {
+          scratch(j) &= w(j)
+          j += 1
+        }
+      }
+      a += 1
+    }
+  }
+
+  /** Both counts of one pattern: `(s_D(p), s_{R^k(D)}(p))`. */
+  def sizes(p: Pattern, k: Int): (Int, Int) = {
+    val d = new Array[Int](1)
+    val t = new Array[Int](1)
+    countBatch(p :: Nil, k, d, t)
+    (d(0), t(0))
   }
 
   /** s_D(p): number of tuples in D satisfying `p`. */
-  def sizeD(p: Pattern): Int = matchBits(p).cardinality()
+  def sizeD(p: Pattern): Int = sizes(p, 0)._1
 
   /** s_{R^k(D)}(p): number of tuples among the top-k satisfying `p`. */
-  def sizeTopK(p: Pattern, k: Int): Int = matchBits(p).get(0, k).cardinality()
-
-  /** Both counts in one pass over the pattern's bitset. */
-  def sizes(p: Pattern, k: Int): (Int, Int) = {
-    val bits = matchBits(p)
-    (bits.cardinality(), bits.get(0, k).cardinality())
-  }
+  def sizeTopK(p: Pattern, k: Int): Int = sizes(p, k)._2
 
   /** Does the tuple ranked `rank` (1-based) satisfy `p`? */
   def tupleSatisfies(rank: Int, p: Pattern): Boolean = p.matches(rows(rank - 1))

@@ -24,7 +24,11 @@ final case class Pattern(vals: Vector[Int]) {
   /** Maximal constrained attribute index, or -1 for the empty pattern.
     * This is `idx(Attr(p))` in Definition 4.1.
     */
-  def maxIdx: Int = vals.lastIndexWhere(_ != Pattern.Wildcard)
+  def maxIdx: Int = {
+    var i = vals.length - 1
+    while (i >= 0 && vals(i) == Pattern.Wildcard) i -= 1
+    i
+  }
 
   /** True iff this pattern constrains no attribute (the root). */
   def isRoot: Boolean = maxIdx < 0

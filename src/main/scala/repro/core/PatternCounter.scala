@@ -8,7 +8,7 @@ import org.apache.spark.sql.functions._
   * The searches are engine-agnostic: each BFS level asks for the dataset
   * size and the top-k size of a batch of candidate patterns. Engines:
   *
-  *  - [[LocalPatternCounter]] — driver-side bitset index, for the
+  *  - [[LocalPatternCounter]] — in-memory word-array index, for the
   *    fine-grained incremental algorithms and the paper-faithful timing
   *    benches;
   *  - [[SparkPatternCounter]] — one Catalyst aggregation per batch over
@@ -40,17 +40,28 @@ trait PatternCounter {
   final def tupleSatisfies(rank: Int, p: Pattern): Boolean = p.matches(rankedRow(rank))
 }
 
-/** Bitset-backed counter over a [[DatasetIndex]]. */
+/** Bitset counter over a [[DatasetIndex]]: a batch is one call of
+  * [[DatasetIndex.countBatch]], which walks it in order and reuses the
+  * parent's AND across consecutive siblings, so each search-tree child
+  * costs one AND + popcount pass over the index words.
+  */
 final class LocalPatternCounter(val index: DatasetIndex) extends PatternCounter {
   override def width: Int = index.width
   override def domainSizes: IndexedSeq[Int] = index.domainSizes
   override def datasetSize: Long = index.size.toLong
 
-  override def countBatch(patterns: Seq[Pattern], k: Int): Map[Pattern, (Long, Long)] =
-    patterns.map { p =>
-      val (d, t) = index.sizes(p, k)
-      p -> (d.toLong, t.toLong)
-    }.toMap
+  override def countBatch(patterns: Seq[Pattern], k: Int): Map[Pattern, (Long, Long)] = {
+    val sD = new Array[Int](patterns.size)
+    val topK = new Array[Int](patterns.size)
+    index.countBatch(patterns, k, sD, topK)
+    val out = Map.newBuilder[Pattern, (Long, Long)]
+    var i = 0
+    patterns.foreach { p =>
+      out += p -> (sD(i).toLong, topK(i).toLong)
+      i += 1
+    }
+    out.result()
+  }
 
   override def rankedRow(rank: Int): Array[Int] = index.rows(rank - 1)
 }

@@ -14,15 +14,15 @@ import repro.core.DatasetIndex
   */
 object Encoding {
 
-  /** Per-attribute value dictionaries: sorted distinct string forms. */
+  /** Per-attribute value dictionaries: sorted distinct string forms, with
+    * null as `∅`. One aggregation job collects the sets of all columns.
+    */
   def dictionaries(df: DataFrame, attrCols: Seq[String]): IndexedSeq[IndexedSeq[String]] =
-    attrCols.toIndexedSeq.map { c =>
-      df.select(col(c).cast("string"))
-        .distinct()
-        .collect()
-        .map(r => Option(r.getString(0)).getOrElse("∅"))
-        .sorted
-        .toIndexedSeq
+    if (attrCols.isEmpty) IndexedSeq.empty
+    else {
+      val sets = attrCols.map(c => collect_set(coalesce(col(c).cast("string"), lit("∅"))))
+      val row = df.agg(sets.head, sets.tail: _*).head()
+      attrCols.indices.map(i => row.getSeq[String](i).sorted.toIndexedSeq)
     }
 
   /** Integer-encode the pattern attributes of a ranked DataFrame.

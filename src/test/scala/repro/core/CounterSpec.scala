@@ -66,6 +66,22 @@ class CounterSpec extends SparkSpec {
     assert(s == l)
   }
 
+  test("local countBatch equals naive scans at the word boundaries of n and k") {
+    for (n <- KernelBatches.Sizes) {
+      val rix = RandomData.index(seed = n + 100, n = n, m = 4)
+      val counter = new LocalPatternCounter(rix)
+      val rnd = new scala.util.Random(n + 100)
+      for (k <- KernelBatches.ks(n); (name, batch) <- KernelBatches.batches(rix.domainSizes, rnd)) {
+        val got = counter.countBatch(batch, k)
+        assert(got.keySet == batch.toSet, s"n=$n k=$k batch=$name")
+        for (pat <- batch) {
+          val naive = (rix.rows.count(pat.matches).toLong, rix.rows.take(k).count(pat.matches).toLong)
+          assert(got(pat) == naive, s"$pat n=$n k=$k batch=$name")
+        }
+      }
+    }
+  }
+
   test("spark counter rankedRow matches the index") {
     for (r <- 1 to 16)
       assert(sparkCounter.rankedRow(r).toSeq == RunningExample.index.rows(r - 1).toSeq)

@@ -87,4 +87,20 @@ class DatasetIndexSpec extends AnyFunSuite {
       }
     }
   }
+
+  test("countBatch equals naive scans at the word boundaries of n and k") {
+    for (n <- KernelBatches.Sizes) {
+      val rix = RandomData.index(seed = n, n = n, m = 4)
+      val rnd = new scala.util.Random(n)
+      for (k <- KernelBatches.ks(n); (name, batch) <- KernelBatches.batches(rix.domainSizes, rnd)) {
+        val sD = new Array[Int](batch.size)
+        val topK = new Array[Int](batch.size)
+        rix.countBatch(batch, k, sD, topK)
+        for ((pat, i) <- batch.zipWithIndex) {
+          assert(sD(i) == rix.rows.count(pat.matches), s"s_D($pat) n=$n k=$k batch=$name")
+          assert(topK(i) == rix.rows.take(k).count(pat.matches), s"top-k($pat) n=$n k=$k batch=$name")
+        }
+      }
+    }
+  }
 }

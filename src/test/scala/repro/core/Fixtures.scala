@@ -84,6 +84,33 @@ object RandomData {
   }
 }
 
+/** Batches for the counting kernel's tests: dataset sizes and k values
+  * on both sides of a 64-bit word boundary, and batch orders that reuse
+  * or invalidate the kernel's parent scratch buffer.
+  */
+object KernelBatches {
+  val Sizes: Seq[Int] = Seq(1, 63, 64, 65, 127, 128, 129, 200)
+
+  def ks(n: Int): Seq[Int] = Seq(1, 63, 64, 65, n)
+
+  /** Named batches over every pattern of the schema, root and full width
+    * included: BFS order (the children of one node adjacent), shuffled,
+    * siblings of different parents interleaved, and shuffled with
+    * repeats, some of them back to back.
+    */
+  def batches(domainSizes: IndexedSeq[Int], rnd: Random): Seq[(String, Vector[Pattern])] = {
+    val all = Iterator
+      .iterate(Vector(Pattern.root(domainSizes.length)))(_.flatMap(_.searchTreeChildren(domainSizes)))
+      .takeWhile(_.nonEmpty)
+      .flatten
+      .toVector
+    val siblings = all.filterNot(_.isRoot).groupBy(p => p.vals.updated(p.maxIdx, Pattern.Wildcard)).values.toVector
+    val interleaved = (0 until siblings.map(_.size).max).toVector.flatMap(i => siblings.flatMap(_.lift(i)))
+    val repeated = rnd.shuffle(all ++ all).flatMap(p => if (rnd.nextBoolean()) Vector(p, p) else Vector(p))
+    Seq("bfs" -> all, "shuffled" -> rnd.shuffle(all), "interleaved" -> interleaved, "repeated" -> repeated)
+  }
+}
+
 /** Delegating counter that sleeps `sleepMillis` on the first read of the
   * tuple ranked `slowRank`: makes a deadline pass between two k steps.
   */

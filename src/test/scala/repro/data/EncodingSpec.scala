@@ -58,6 +58,27 @@ class EncodingSpec extends SparkSpec {
     assert(dicts(0) == IndexedSeq("0", "1", "2"))
   }
 
+  test("one-pass dictionaries equal the per-attribute distinct definition") {
+    import spark.implicits._
+    val df = Seq(
+      (Some("b"), Some(3), Option.empty[Int], 2.5, 1),
+      (None, Some(1), None, 2.5, 2),
+      (Some("a"), None, None, 10.0, 3),
+      (Some("b"), Some(3), None, -1.0, 4),
+      (None, Some(20), None, 2.5, 5),
+    ).toDF("s", "i", "allNull", "d", "rank")
+    val cols = Seq("s", "i", "allNull", "d")
+    val perAttribute = cols.toIndexedSeq.map { c =>
+      df.select(col(c).cast("string")).distinct().collect()
+        .map(r => Option(r.getString(0)).getOrElse("∅")).sorted.toIndexedSeq
+    }
+    val dicts = Encoding.dictionaries(df, cols)
+    assert(dicts == perAttribute)
+    assert(dicts(0) == IndexedSeq("a", "b", "∅"))
+    assert(dicts(1) == IndexedSeq("1", "20", "3", "∅"))
+    assert(dicts(2) == IndexedSeq("∅"))
+  }
+
   test("round trip: decoding an encoded value yields the original label") {
     val (enc, _, dicts) = Encoding.encode(rankedDf, attrs, "rank")
     val first = enc.orderBy("rank").limit(1).collect()(0)
