@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{Experiments, Tables}
+import repro.exp.Experiments
 
 /** T4 — Figure 10a–c: aggregated Shapley values of groups detected by
   * GLOBALBOUNDS at k = 49, L_k = 40, per dataset.
@@ -10,11 +10,7 @@ class T4ShapleyBench extends SparkSpec {
 
   test("T4: aggregated Shapley values of detected groups (Figure 10a-c)") {
     val explanations = Experiments.t4Shapley(spark)
-    for ((name, ex) <- explanations) {
-      println(Tables.render(s"T4 / Figure 10: aggregated Shapley — $name, group ${ex.rendered}",
-        Seq("attribute", "aggregated Shapley"),
-        ex.aggShapley.take(6).map { case (a, v) => Seq(a, f"$v%.4f") }))
-    }
+    for ((name, ex) <- explanations) println(Experiments.renderShapley(name, ex))
     val byName = explanations.toMap
     // Paper: the attribute actually used for ranking tops the attribution.
     assert(byName("student").topAttr == "G3",
@@ -37,12 +33,7 @@ class T5DistributionBench extends SparkSpec {
 
   test("T5: value distributions, top-k vs detected group (Figure 10d-f)") {
     for ((name, ex) <- Experiments.t4Shapley(spark)) {
-      println(Tables.render(
-        s"T5 / Figure 10d-f: $name, attribute '${ex.topAttr}', group ${ex.rendered}",
-        Seq("value", "top-k share", "group share"),
-        ex.topkDist.zip(ex.groupDist).map { case ((v, tk), (_, g)) =>
-          Seq(v, f"$tk%.3f", f"$g%.3f")
-        }))
+      println(Experiments.renderDistribution(name, ex))
       // Paper: the distributions differ vastly between top-k and group.
       val l1 = ex.groupDist.zip(ex.topkDist).map { case ((_, g), (_, t)) => math.abs(g - t) }.sum
       assert(l1 > 0.25, s"$name: top-k and group distributions unexpectedly close (L1=$l1)")
@@ -55,20 +46,7 @@ class T6CaseStudyBench extends SparkSpec {
 
   test("T6: case study vs the divergence method (VI-D)") {
     val cs = Experiments.t6CaseStudy(spark)
-    println(Tables.render("T6 / VI-D: detected groups per method (paper: 2 / 5 / 28)",
-      Seq("method", "#groups", "groups"),
-      Seq(
-        Seq("PropBounds", cs.propPatterns.size.toString,
-          cs.propPatterns.map(cs.index.render).toSeq.sorted.mkString("; ")),
-        Seq("GlobalBounds", cs.globalPatterns.size.toString,
-          cs.globalPatterns.map(cs.index.render).toSeq.sorted.mkString("; ")),
-        Seq("Divergence[27]", cs.divergenceGroups.size.toString,
-          cs.divergenceGroups.take(5).map(g => cs.index.render(g.p)).mkString("; ") + "; ..."),
-      )))
-    println(Tables.render("T6b: top-5 groups by divergence",
-      Seq("group", "support", "outcome", "divergence"),
-      cs.divergenceGroups.take(5).map(g =>
-        Seq(cs.index.render(g.p), g.support.toString, f"${g.outcome}%.3f", f"${g.divergence}%.3f"))))
+    println(Experiments.renderCaseStudy(cs))
 
     // Shape assertions mirroring the paper's qualitative findings:
     // 1. PROPBOUNDS is more selective than GLOBALBOUNDS, and each of its

@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{Experiments, Tables}
+import repro.exp.Experiments
 
 /** Shared knobs for the bench suites. */
 object BenchConfig {
@@ -20,9 +20,7 @@ class T1AttributesBench extends SparkSpec {
   test("T1: runtime vs #attributes (Figures 4-5)") {
     val rows = Experiments.t1Attributes(spark, BenchConfig.timeoutMs)
     println(Experiments.renderTimings("T1 / Figures 4-5: runtime vs #attributes", rows))
-
-    val (u, t) = Experiments.under100Share(rows)
-    println(f"result cells with <100 groups: $u/$t (${100.0 * u / math.max(1, t)}%.2f%%; paper: 97.58%%)")
+    println(Experiments.renderUnder100(rows))
 
     // Shape check (paper: optimized algorithms outperform ITERTD): at the
     // largest point where both completed, the optimized algorithm's time
@@ -76,33 +74,12 @@ class T3KRangeBench extends SparkSpec {
   test("T3: runtime vs k range (Figures 8-9) and examined gain") {
     val rows = Experiments.t3KRange(spark, BenchConfig.timeoutMs)
     println(Experiments.renderTimings("T3 / Figures 8-9: runtime vs k range", rows))
-
     val gains = Experiments.examinedGains(rows)
-    println(Tables.render("T3b: patterns-examined gain of optimized vs ITERTD",
-      Seq("dataset", "problem", "kMax", "IterTD", "optimized", "gain%"),
-      gains.map(g => Seq(g.dataset, g.problem, g.kMax.toString,
-        g.baseExamined.toString, g.optExamined.toString, f"${g.gainPct}%.2f"))))
-    println("paper gains: global 39.35% (COMPAS) 56.87% (student) 29.27% (credit); " +
-      "prop 39.60% / 20.49% / 56.83%")
+    println(Experiments.renderGains(gains))
 
     assert(gains.nonEmpty, "no configuration completed for both algorithms")
     for (g <- gains)
       assert(g.gainPct > 0,
         s"${g.dataset}/${g.problem}: optimized examined no fewer patterns (${g.gainPct}%)")
-  }
-}
-
-/** T7 — the distributed counting engine at scale (ours). */
-class T7ScaleBench extends SparkSpec {
-
-  test("T7: Spark vs local counting engine on scaled data") {
-    val rows = Experiments.t7Scale(spark, sizes = Seq(10000, 100000))
-    println(Tables.render("T7: top-down search, Spark vs local counting engine",
-      Seq("rows", "engine", "time", "|Res|", "examined"),
-      rows.map(r => Seq(r.nRows.toString, r.engine, Tables.fmtMillis(r.millis, timedOut = false),
-        r.resSize.toString, r.examined.toString))))
-    // Engine agreement is asserted inside the runner; here only sanity.
-    assert(rows.nonEmpty)
-    assert(rows.groupBy(_.nRows).forall(_._2.map(_.resSize).distinct.size == 1))
   }
 }

@@ -1,7 +1,7 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.exp.{Experiments, Tables}
+import repro.exp.Experiments
 
 /** Shared session bootstrap for the spark-submit entrypoints (one main
   * per reproduced table; see DESIGN.md §3 and EXPERIMENTS.md).
@@ -24,8 +24,7 @@ object T1AttributesJob {
     val spark = JobSession("repro-t1")
     val rows = Experiments.t1Attributes(spark, JobSession.timeoutMs)
     println(Experiments.renderTimings("T1 / Figures 4-5: runtime vs #attributes", rows))
-    val (u, t) = Experiments.under100Share(rows)
-    println(f"result cells with <100 groups: $u/$t (${100.0 * u / math.max(1, t)}%.2f%%; paper: 97.58%%)")
+    println(Experiments.renderUnder100(rows))
     spark.stop()
   }
 }
@@ -46,13 +45,7 @@ object T3KRangeJob {
     val spark = JobSession("repro-t3")
     val rows = Experiments.t3KRange(spark, JobSession.timeoutMs)
     println(Experiments.renderTimings("T3 / Figures 8-9: runtime vs k range", rows))
-    val gains = Experiments.examinedGains(rows)
-    println(Tables.render("T3b: patterns-examined gain of optimized vs ITERTD",
-      Seq("dataset", "problem", "kMax", "IterTD", "optimized", "gain%"),
-      gains.map(g => Seq(g.dataset, g.problem, g.kMax.toString,
-        g.baseExamined.toString, g.optExamined.toString, f"${g.gainPct}%.2f"))))
-    println("paper gains: global 39.35% (COMPAS) 56.87% (student) 29.27% (credit); " +
-      "prop 39.60% / 20.49% / 56.83%")
+    println(Experiments.renderGains(Experiments.examinedGains(rows)))
     spark.stop()
   }
 }
@@ -61,11 +54,7 @@ object T3KRangeJob {
 object T4ShapleyJob {
   def main(args: Array[String]): Unit = {
     val spark = JobSession("repro-t4")
-    for ((name, ex) <- Experiments.t4Shapley(spark)) {
-      println(Tables.render(s"T4 / Figure 10: aggregated Shapley — $name, group ${ex.rendered}",
-        Seq("attribute", "aggregated Shapley"),
-        ex.aggShapley.take(6).map { case (a, v) => Seq(a, f"$v%.4f") }))
-    }
+    for ((name, ex) <- Experiments.t4Shapley(spark)) println(Experiments.renderShapley(name, ex))
     spark.stop()
   }
 }
@@ -74,14 +63,7 @@ object T4ShapleyJob {
 object T5DistributionsJob {
   def main(args: Array[String]): Unit = {
     val spark = JobSession("repro-t5")
-    for ((name, ex) <- Experiments.t4Shapley(spark)) {
-      println(Tables.render(
-        s"T5 / Figure 10d-f: $name, attribute '${ex.topAttr}', group ${ex.rendered}",
-        Seq("value", "top-k share", "group share"),
-        ex.topkDist.zip(ex.groupDist).map { case ((v, tk), (_, g)) =>
-          Seq(v, f"$tk%.3f", f"$g%.3f")
-        }))
-    }
+    for ((name, ex) <- Experiments.t4Shapley(spark)) println(Experiments.renderDistribution(name, ex))
     spark.stop()
   }
 }
@@ -90,34 +72,7 @@ object T5DistributionsJob {
 object T6CaseStudyJob {
   def main(args: Array[String]): Unit = {
     val spark = JobSession("repro-t6")
-    val cs = Experiments.t6CaseStudy(spark)
-    println(Tables.render("T6 / VI-D: detected groups per method (paper: 2 / 5 / 28)",
-      Seq("method", "#groups", "groups"),
-      Seq(
-        Seq("PropBounds", cs.propPatterns.size.toString,
-          cs.propPatterns.map(cs.index.render).toSeq.sorted.mkString("; ")),
-        Seq("GlobalBounds", cs.globalPatterns.size.toString,
-          cs.globalPatterns.map(cs.index.render).toSeq.sorted.mkString("; ")),
-        Seq("Divergence[27]", cs.divergenceGroups.size.toString,
-          cs.divergenceGroups.take(5).map(g => cs.index.render(g.p)).mkString("; ") + "; ..."),
-      )))
-    println(Tables.render("T6b: top-5 groups by divergence",
-      Seq("group", "support", "outcome", "divergence"),
-      cs.divergenceGroups.take(5).map(g =>
-        Seq(cs.index.render(g.p), g.support.toString, f"${g.outcome}%.3f", f"${g.divergence}%.3f"))))
-    spark.stop()
-  }
-}
-
-/** T7 — distributed counting engine at scale (DataFrame aggregation). */
-object T7ScaleJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession("repro-t7")
-    val rows = Experiments.t7Scale(spark)
-    println(Tables.render("T7: top-down search, Spark vs local counting engine",
-      Seq("rows", "engine", "time", "|Res|", "examined"),
-      rows.map(r => Seq(r.nRows.toString, r.engine, Tables.fmtMillis(r.millis, timedOut = false),
-        r.resSize.toString, r.examined.toString))))
+    println(Experiments.renderCaseStudy(Experiments.t6CaseStudy(spark)))
     spark.stop()
   }
 }

@@ -6,8 +6,8 @@ import scala.collection.mutable
   *
   * The engine traverses the search tree of the pattern graph
   * (Definition 4.1) wave by wave; each wave is counted with a single
-  * [[PatternCounter.countBatch]] call, so with a [[SparkPatternCounter]]
-  * every level is one Catalyst aggregation over the ranked dataset.
+  * [[PatternCounter.countBatch]] call, in which siblings follow each
+  * other so the index reuses their parent's AND.
   *
   * Expansion rule (Algorithm 1, lines 5–10): a node is pruned when its
   * dataset size is below `τ_s` (size is anti-monotone, so the whole

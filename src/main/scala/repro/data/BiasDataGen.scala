@@ -192,7 +192,7 @@ object BiasDataGen {
     generate(spark, "german", n, specs, noise = 0.10, seed = seed)
   }
 
-  /** Scaled COMPAS-like dataset for the distributed-counting bench. */
+  /** COMPAS-like dataset with `n` rows (all 16 attributes). */
   def compasScaled(spark: SparkSession, n: Long, seed: Long = 42): RankedDataset =
     compasLike(spark, nAttrs = 16, n = n, seed = seed)
 }

@@ -8,21 +8,33 @@ import repro.core.DatasetIndex
   *
   * Values of the pattern attributes are treated as opaque categoricals;
   * a deterministic dictionary (values sorted by string form) maps them
-  * to dense indices for both the driver-side [[DatasetIndex]] and the
-  * integer-encoded DataFrame consumed by
-  * [[repro.core.SparkPatternCounter]].
+  * to dense indices, both for the driver-side [[DatasetIndex]] and for
+  * the integer-encoded DataFrame the regression and Shapley analysis
+  * consume.
   */
 object Encoding {
 
+  /** Dictionary label of null. Reserved: a column holding this string is
+    * rejected, so a real value can never share null's entry.
+    */
+  val NullLabel = "∅"
+
   /** Per-attribute value dictionaries: sorted distinct string forms, with
-    * null as `∅`. One aggregation job collects the sets of all columns.
+    * null as [[NullLabel]]. One aggregation job collects, per column, the
+    * set of non-null values and whether any value is null.
     */
   def dictionaries(df: DataFrame, attrCols: Seq[String]): IndexedSeq[IndexedSeq[String]] =
     if (attrCols.isEmpty) IndexedSeq.empty
     else {
-      val sets = attrCols.map(c => collect_set(coalesce(col(c).cast("string"), lit("∅"))))
-      val row = df.agg(sets.head, sets.tail: _*).head()
-      attrCols.indices.map(i => row.getSeq[String](i).sorted.toIndexedSeq)
+      val aggs = attrCols.flatMap(c =>
+        Seq(collect_set(col(c).cast("string")), count(when(col(c).isNull, 1))))
+      val row = df.agg(aggs.head, aggs.tail: _*).head()
+      attrCols.indices.map { i =>
+        val values = row.getSeq[String](2 * i)
+        require(!values.contains(NullLabel),
+          s"column ${attrCols(i)} holds the string $NullLabel, which is reserved for null")
+        (if (row.getLong(2 * i + 1) > 0) values :+ NullLabel else values).sorted.toIndexedSeq
+      }
     }
 
   /** Integer-encode the pattern attributes of a ranked DataFrame.
@@ -40,7 +52,7 @@ object Encoding {
       val mapping = map(dicts(i).zipWithIndex.flatMap { case (v, j) =>
         Seq(lit(v), lit(j))
       }: _*)
-      element_at(mapping, coalesce(col(c).cast("string"), lit("∅"))).alias(c)
+      element_at(mapping, coalesce(col(c).cast("string"), lit(NullLabel))).alias(c)
     }
     val enc = df.select(encodedCols :+ col(rankCol).cast("int").alias(rankCol): _*)
     (enc, dicts.map(_.size), dicts)

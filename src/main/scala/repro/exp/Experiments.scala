@@ -232,39 +232,6 @@ object Experiments {
   }
 
   // ------------------------------------------------------------------
-  // T7 — distributed counting at scale (ours; DESIGN.md §1 fidelity note).
-  // ------------------------------------------------------------------
-
-  final case class ScaleRow(nRows: Long, engine: String, millis: Long, resSize: Int, examined: Long)
-
-  def t7Scale(spark: SparkSession, sizes: Seq[Long] = Seq(10000, 100000)): Seq[ScaleRow] = {
-    sizes.flatMap { n =>
-      val ds = BiasDataGen.compasScaled(spark, n)
-      // 10 attributes keep the frontier (and hence the number of Catalyst
-      // aggregation plans) moderate; throughput, not depth, is measured.
-      val attrs = ds.attrCols.take(10)
-      val (enc, domainSizes, _) = Encoding.encode(ds.df, attrs, ds.rankCol)
-      val sparkCounter = new SparkPatternCounter(enc, attrs, ds.rankCol, domainSizes)
-      val localIx = Encoding.index(ds.df, attrs, ds.rankCol)
-      val local = new LocalPatternCounter(localIx)
-      // A shallow-but-wide search: the point is counting throughput of the
-      // distributed engine, not search depth.
-      val tauS = n / 20
-      val k = (n / 10).toInt
-      val bound = GlobalLowerBound(_ => k / 10.0)
-      val (snapS, msS) = time(TopDownSearch.singleK(sparkCounter, bound, tauS, k))
-      val (snapL, msL) = time(TopDownSearch.singleK(local, bound, tauS, k))
-      require(snapS.res.toSet == snapL.res.toSet, s"engines disagree at n=$n")
-      sparkCounter.unpersist()
-      ds.df.unpersist()
-      Seq(
-        ScaleRow(n, "SparkPatternCounter", msS, snapS.res.size, snapS.examined),
-        ScaleRow(n, "LocalPatternCounter", msL, snapL.res.size, snapL.examined),
-      )
-    }
-  }
-
-  // ------------------------------------------------------------------
   // Rendering helpers shared by jobs and benches.
   // ------------------------------------------------------------------
 
@@ -276,4 +243,51 @@ object Experiments {
         Tables.fmtMillis(r.millis, r.timedOut),
         if (r.timedOut) "-" else r.examined.toString,
         if (r.resCells.isEmpty) "-" else r.resCells.max.toString)))
+
+  /** The §III "<100 groups" line under T1. */
+  def renderUnder100(rows: Seq[TimingRow]): String = {
+    val (u, t) = under100Share(rows)
+    f"result cells with <100 groups: $u/$t (${100.0 * u / math.max(1, t)}%.2f%%; paper: 97.58%%)"
+  }
+
+  /** T3b, followed by the gains the paper quotes. */
+  def renderGains(gains: Seq[GainRow]): String =
+    Tables.render("T3b: patterns-examined gain of optimized vs ITERTD",
+      Seq("dataset", "problem", "kMax", "IterTD", "optimized", "gain%"),
+      gains.map(g => Seq(g.dataset, g.problem, g.kMax.toString,
+        g.baseExamined.toString, g.optExamined.toString, f"${g.gainPct}%.2f"))) +
+      "\npaper gains: global 39.35% (COMPAS) 56.87% (student) 29.27% (credit); " +
+      "prop 39.60% / 20.49% / 56.83%"
+
+  /** T4: one dataset's top-6 aggregated Shapley values. */
+  def renderShapley(name: String, ex: ResultAnalysis.Explanation): String =
+    Tables.render(s"T4 / Figure 10: aggregated Shapley — $name, group ${ex.rendered}",
+      Seq("attribute", "aggregated Shapley"),
+      ex.aggShapley.take(6).map { case (a, v) => Seq(a, f"$v%.4f") })
+
+  /** T5: one dataset's top-Shapley attribute distribution, top-k vs group. */
+  def renderDistribution(name: String, ex: ResultAnalysis.Explanation): String =
+    Tables.render(
+      s"T5 / Figure 10d-f: $name, attribute '${ex.topAttr}', group ${ex.rendered}",
+      Seq("value", "top-k share", "group share"),
+      ex.topkDist.zip(ex.groupDist).map { case ((v, tk), (_, g)) =>
+        Seq(v, f"$tk%.3f", f"$g%.3f")
+      })
+
+  /** T6 (groups per method) followed by T6b (top-5 divergence groups). */
+  def renderCaseStudy(cs: CaseStudy): String =
+    Tables.render("T6 / VI-D: detected groups per method (paper: 2 / 5 / 28)",
+      Seq("method", "#groups", "groups"),
+      Seq(
+        Seq("PropBounds", cs.propPatterns.size.toString,
+          cs.propPatterns.map(cs.index.render).toSeq.sorted.mkString("; ")),
+        Seq("GlobalBounds", cs.globalPatterns.size.toString,
+          cs.globalPatterns.map(cs.index.render).toSeq.sorted.mkString("; ")),
+        Seq("Divergence[27]", cs.divergenceGroups.size.toString,
+          cs.divergenceGroups.take(5).map(g => cs.index.render(g.p)).mkString("; ") + "; ..."),
+      )) + "\n" +
+      Tables.render("T6b: top-5 groups by divergence",
+        Seq("group", "support", "outcome", "divergence"),
+        cs.divergenceGroups.take(5).map(g =>
+          Seq(cs.index.render(g.p), g.support.toString, f"${g.outcome}%.3f", f"${g.divergence}%.3f")))
 }

@@ -52,6 +52,16 @@ class EncodingSpec extends SparkSpec {
     assert(enc.select("x").collect().map(_.getInt(0)).toSet == Set(0, 1, 2))
   }
 
+  test("a column holding the literal null sentinel is rejected by name") {
+    import spark.implicits._
+    val df = Seq((Some("a"), Some("∅"), 1), (Some("b"), None, 2), (None, Some("c"), 3))
+      .toDF("ok", "clash", "rank")
+    val e = intercept[IllegalArgumentException](Encoding.dictionaries(df, Seq("ok", "clash")))
+    assert(e.getMessage.contains("clash") && !e.getMessage.contains("ok"))
+    intercept[IllegalArgumentException](Encoding.index(df.filter($"clash".isNotNull), Seq("clash"), "rank"))
+    assert(Encoding.dictionaries(df, Seq("ok")) == IndexedSeq(IndexedSeq("a", "b", "∅")))
+  }
+
   test("numeric attribute columns are treated as categorical via string form") {
     val (_, domainSizes, dicts) = Encoding.encode(rankedDf, Seq("failures"), "rank")
     assert(domainSizes == IndexedSeq(3))
