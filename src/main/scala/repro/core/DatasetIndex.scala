@@ -13,6 +13,9 @@ package repro.core
   * (Definition 4.1) is its parent plus one attribute-value, so the kernel
   * keeps the parent's AND in a scratch buffer while consecutive patterns
   * share a parent, and counts each child with one AND + popcount pass.
+  * A large batch is split into contiguous chunks counted in parallel on
+  * the common ForkJoin pool, each with its own scratch buffer; the
+  * results are the same as the sequential loop's.
   *
   * @param rows        encoded tuples in rank order; `rows(i)(a)` is the
   *                    value index of attribute `a` in the rank-(i+1) tuple
@@ -52,27 +55,61 @@ final class DatasetIndex(
     ws
   }
 
-  /** Counts every pattern of `patterns`, in order: `sD(i)` receives
-    * s_D and `topK(i)` receives s_{R^k(D)} of the i-th pattern.
+  /** Counts every pattern of `patterns`: `sD(i)` receives s_D and
+    * `topK(i)` receives s_{R^k(D)} of the i-th pattern.
     *
-    * Allocates one scratch buffer per call and nothing per pattern. The
-    * buffer holds the AND of the current parent (the pattern with its
-    * [[Pattern.maxIdx]] attribute set to wildcard); it is recomputed only
-    * when the parent changes, so a batch that lists siblings next to each
-    * other — as the BFS does — pays one pass per child.
+    * The batch is cut into [[DatasetIndex.chunks]] contiguous chunks: one,
+    * on the calling thread, below [[DatasetIndex.ParallelWork]] or on a
+    * one-CPU JVM; else several, counted on the common ForkJoin pool. Each
+    * chunk walks its patterns in order with its own scratch buffer, which
+    * holds the AND of the current parent (the pattern with its
+    * [[Pattern.maxIdx]] attribute set to wildcard). It is loaded at the
+    * chunk's first pattern and again only when the parent changes, so a
+    * batch that lists siblings next to each other — as the BFS does — pays
+    * one pass per child. A chunk writes only its own slots, and a count
+    * depends only on its pattern and `k`, so the results do not depend on
+    * the chunking or on thread timing. Nothing is allocated per pattern.
+    *
+    * @throws IllegalArgumentException if `k < 0` or a pattern's width is
+    *         not [[width]]
     */
-  def countBatch(patterns: Iterable[Pattern], k: Int, sD: Array[Int], topK: Array[Int]): Unit = {
+  def countBatch(patterns: IndexedSeq[Pattern], k: Int, sD: Array[Int], topK: Array[Int]): Unit = {
     require(k >= 0, s"k must be non-negative: $k")
+    val n = patterns.length
+    var i = 0
+    while (i < n) {
+      val w = patterns(i).width
+      require(w == width, s"pattern ${patterns(i)} has width $w, the index has $width attributes")
+      i += 1
+    }
     val kk = math.min(k, size)
+    val chunks = DatasetIndex.chunks(n, nWords, DatasetIndex.Cpus)
+    if (chunks == 1) countRange(patterns, 0, n, kk, sD, topK)
+    else
+      java.util.stream.IntStream.range(0, chunks).parallel().forEach { c =>
+        countRange(patterns, (c.toLong * n / chunks).toInt, ((c + 1).toLong * n / chunks).toInt, kk, sD, topK)
+      }
+  }
+
+  /** The kernel: counts `patterns(from until to)` into the same slots of
+    * `sD` / `topK`, with `kk = min(k, |D|)`.
+    */
+  private def countRange(
+      patterns: IndexedSeq[Pattern],
+      from: Int,
+      to: Int,
+      kk: Int,
+      sD: Array[Int],
+      topK: Array[Int],
+  ): Unit = {
     val kFull = kk >>> 6
     val kMask = (1L << kk) - 1 // low (kk & 63) bits; unused when kk & 63 == 0
     val scratch = new Array[Long](nWords)
     var parentOf: Pattern = null // scratch holds the AND of this pattern's parent
     var parentM = -1             // parentOf.maxIdx
-    var i = 0
-    val it = patterns.iterator
-    while (it.hasNext) {
-      val p = it.next()
+    var i = from
+    while (i < to) {
+      val p = patterns(i)
       val m = p.maxIdx
       if (m < 0) {
         sD(i) = size
@@ -135,7 +172,7 @@ final class DatasetIndex(
   def sizes(p: Pattern, k: Int): (Int, Int) = {
     val d = new Array[Int](1)
     val t = new Array[Int](1)
-    countBatch(p :: Nil, k, d, t)
+    countBatch(Vector(p), k, d, t)
     (d(0), t(0))
   }
 
@@ -150,4 +187,23 @@ final class DatasetIndex(
 
   /** Render a pattern against this schema. */
   def render(p: Pattern): String = p.render(attrNames, domains)
+}
+
+object DatasetIndex {
+
+  /** Work (patterns × words) from which a batch is counted in parallel.
+    * Below it, forking chunks costs more than it saves.
+    */
+  private[core] final val ParallelWork: Long = 1L << 18
+
+  private[core] val Cpus: Int = Runtime.getRuntime.availableProcessors
+
+  /** Number of chunks for a batch of `patterns` over `nWords`-word
+    * bitsets on `cpus` processors: 1 (the calling thread alone) for
+    * small batches or one CPU, else `4 × cpus` (at most one per pattern),
+    * so that uneven chunks still balance across the pool.
+    */
+  private[core] def chunks(patterns: Int, nWords: Int, cpus: Int): Int =
+    if (cpus <= 1 || patterns.toLong * nWords < ParallelWork) 1
+    else math.min(4 * cpus, patterns)
 }

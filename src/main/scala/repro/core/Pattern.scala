@@ -12,6 +12,23 @@ package repro.core
   */
 final case class Pattern(vals: Vector[Int]) {
 
+  /** The case-class hash, computed once: patterns key the counters'
+    * result maps and the searches' hash sets, which would otherwise hash
+    * the boxed `vals` on every probe.
+    */
+  override val hashCode: Int = scala.util.hashing.MurmurHash3.productHash(this)
+
+  /** Same `vals`; compares the cached hashes first, then the values unboxed. */
+  override def equals(other: Any): Boolean = other match {
+    case q: Pattern =>
+      (q eq this) || (q.hashCode == hashCode && q.vals.length == vals.length && {
+        var i = 0
+        while (i < vals.length && vals(i) == q.vals(i)) i += 1
+        i == vals.length
+      })
+    case _ => false
+  }
+
   /** Number of attributes in the dataset's schema (not the pattern). */
   def width: Int = vals.length
 

@@ -34,7 +34,8 @@ trait PatternCounter {
 /** Bitset counter over a [[DatasetIndex]]: a batch is one call of
   * [[DatasetIndex.countBatch]], which walks it in order and reuses the
   * parent's AND across consecutive siblings, so each search-tree child
-  * costs one AND + popcount pass over the index words.
+  * costs one AND + popcount pass over the index words; a large batch is
+  * counted in parallel chunks.
   */
 final class LocalPatternCounter(val index: DatasetIndex) extends PatternCounter {
   override def width: Int = index.width
@@ -42,13 +43,14 @@ final class LocalPatternCounter(val index: DatasetIndex) extends PatternCounter 
   override def datasetSize: Long = index.size.toLong
 
   override def countBatch(patterns: Seq[Pattern], k: Int): Map[Pattern, (Long, Long)] = {
-    val sD = new Array[Int](patterns.size)
-    val topK = new Array[Int](patterns.size)
-    index.countBatch(patterns, k, sD, topK)
+    val ps = patterns.toIndexedSeq // no copy for the BFS's Vector frontiers
+    val sD = new Array[Int](ps.length)
+    val topK = new Array[Int](ps.length)
+    index.countBatch(ps, k, sD, topK)
     val out = Map.newBuilder[Pattern, (Long, Long)]
     var i = 0
-    patterns.foreach { p =>
-      out += p -> (sD(i).toLong, topK(i).toLong)
+    while (i < ps.length) {
+      out += ps(i) -> (sD(i).toLong, topK(i).toLong)
       i += 1
     }
     out.result()

@@ -6,8 +6,8 @@ import scala.collection.mutable
   *
   * The engine traverses the search tree of the pattern graph
   * (Definition 4.1) wave by wave; each wave is counted with a single
-  * [[PatternCounter.countBatch]] call, in which siblings follow each
-  * other so the index reuses their parent's AND.
+  * [[PatternCounter.countBatch]] call on an indexed frontier, in which
+  * siblings follow each other so the index reuses their parent's AND.
   *
   * Expansion rule (Algorithm 1, lines 5–10): a node is pruned when its
   * dataset size is below `τ_s` (size is anti-monotone, so the whole
@@ -41,7 +41,7 @@ object TopDownSearch {
       frontier0: Seq[Pattern],
       budget: Budget,
   )(onVisit: Visit => Unit): (Long, Boolean) = {
-    var frontier = frontier0
+    var frontier: IndexedSeq[Pattern] = frontier0.toIndexedSeq
     var examined = 0L
     var timedOut = false
     while (frontier.nonEmpty && !timedOut) {
@@ -49,7 +49,7 @@ object TopDownSearch {
       else {
         val counts = counter.countBatch(frontier, k)
         examined += frontier.size
-        val next = mutable.ArrayBuffer.empty[Pattern]
+        val next = Vector.newBuilder[Pattern]
         for (p <- frontier) {
           val (sD, cnt) = counts(p)
           if (sD < tauS) onVisit(TooSmall(p, sD))
@@ -59,7 +59,7 @@ object TopDownSearch {
             next ++= p.searchTreeChildren(counter.domainSizes)
           }
         }
-        frontier = next.toSeq
+        frontier = next.result()
       }
     }
     (examined, timedOut)

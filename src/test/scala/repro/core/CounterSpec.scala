@@ -31,6 +31,25 @@ class CounterSpec extends SparkSpec {
     }
   }
 
+  test("local countBatch above the parallel threshold equals naive scans") {
+    val rix = KernelBatches.largeIndex(seed = 107)
+    val counter = new LocalPatternCounter(rix)
+    val batches = KernelBatches.batches(rix.domainSizes, new scala.util.Random(107))
+    val ranks = KernelBatches.matchingRanks(rix, batches.head._2)
+    for ((name, batch) <- batches) {
+      assert(batch.size * KernelBatches.words(rix) >= DatasetIndex.ParallelWork, name)
+      for (k <- KernelBatches.ks(rix.size)) {
+        val got = counter.countBatch(batch, k)
+        assert(got.keySet == batch.toSet, s"k=$k batch=$name")
+        val wrong = batch.filter { pat =>
+          val (d, t) = KernelBatches.naive(ranks, pat, k)
+          got(pat) != ((d.toLong, t.toLong))
+        }
+        assert(wrong.isEmpty, s"k=$k batch=$name: ${wrong.take(5)}")
+      }
+    }
+  }
+
   test("pattern counts validated against DuckDB") {
     import org.apache.spark.sql.functions._
     val df = exampleDf

@@ -103,4 +103,47 @@ class DatasetIndexSpec extends AnyFunSuite {
       }
     }
   }
+
+  private lazy val large = KernelBatches.largeIndex(seed = 7)
+
+  test("countBatch above the parallel threshold equals naive scans") {
+    val batches = KernelBatches.batches(large.domainSizes, new scala.util.Random(7))
+    val ranks = KernelBatches.matchingRanks(large, batches.head._2)
+    for ((name, batch) <- batches) {
+      assert(batch.size * KernelBatches.words(large) >= DatasetIndex.ParallelWork, name)
+      for (k <- KernelBatches.ks(large.size)) {
+        val sD = new Array[Int](batch.size)
+        val topK = new Array[Int](batch.size)
+        large.countBatch(batch, k, sD, topK)
+        val wrong = batch.indices.filter(i => (sD(i), topK(i)) != KernelBatches.naive(ranks, batch(i), k))
+        assert(wrong.isEmpty, s"k=$k batch=$name: ${wrong.take(5).map(batch)}")
+      }
+    }
+  }
+
+  test("a batch is split into chunks from the parallel threshold on, unless the JVM has one CPU") {
+    val atThreshold = (DatasetIndex.ParallelWork / 64).toInt // patterns of 64 words
+    assert(DatasetIndex.chunks(atThreshold, 64, cpus = 4) == 16)
+    assert(DatasetIndex.chunks(atThreshold - 1, 64, cpus = 4) == 1)
+    assert(DatasetIndex.chunks(atThreshold, 64, cpus = 1) == 1)
+    assert(DatasetIndex.chunks(3, 1 << 20, cpus = 4) == 3) // at most one chunk per pattern
+  }
+
+  test("countBatch rejects a pattern of another width, sequential and parallel") {
+    val small = RunningExample.index
+    val smallBatch = Pattern.root(4).searchTreeChildren(small.domainSizes).toVector
+    val largeBatch = KernelBatches.batches(large.domainSizes, new scala.util.Random(8)).head._2
+    assert(smallBatch.size * KernelBatches.words(small) < DatasetIndex.ParallelWork)
+    assert(largeBatch.size * KernelBatches.words(large) >= DatasetIndex.ParallelWork)
+    for {
+      (ix, batch) <- Seq(small -> smallBatch, large -> largeBatch)
+      bad <- Seq(Pattern.of(ix.width - 1, 0 -> 0), Pattern.of(ix.width + 1, ix.width -> 0))
+    } {
+      val ps = batch.patch(batch.size / 2, Seq(bad), 0)
+      val e = intercept[IllegalArgumentException] {
+        ix.countBatch(ps, 5, new Array[Int](ps.size), new Array[Int](ps.size))
+      }
+      assert(e.getMessage.contains(s"width ${bad.width}"))
+    }
+  }
 }

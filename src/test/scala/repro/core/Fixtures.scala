@@ -64,11 +64,11 @@ object RunningExample {
 object RandomData {
 
   /** Random index: `n` tuples, attribute cardinalities drawn from
-    * 2–`maxCard`; position i holds the rank-(i+1) tuple.
+    * `minCard`–`maxCard`; position i holds the rank-(i+1) tuple.
     */
-  def index(seed: Long, n: Int = 40, m: Int = 4, maxCard: Int = 3): DatasetIndex = {
+  def index(seed: Long, n: Int = 40, m: Int = 4, maxCard: Int = 3, minCard: Int = 2): DatasetIndex = {
     val rnd = new Random(seed)
-    val cards = IndexedSeq.fill(m)(2 + rnd.nextInt(maxCard - 1))
+    val cards = IndexedSeq.fill(m)(minCard + rnd.nextInt(maxCard - minCard + 1))
     val rows = Array.fill(n)(Array.tabulate(m)(a => rnd.nextInt(cards(a))))
     val names = IndexedSeq.tabulate(m)(i => s"A$i")
     val doms = cards.map(c => IndexedSeq.tabulate(c)(_.toString))
@@ -109,6 +109,42 @@ object KernelBatches {
     val repeated = rnd.shuffle(all ++ all).flatMap(p => if (rnd.nextBoolean()) Vector(p, p) else Vector(p))
     Seq("bfs" -> all, "shuffled" -> rnd.shuffle(all), "interleaved" -> interleaved, "repeated" -> repeated)
   }
+
+  /** Rows for the parallel path: 64·65+1 tuples over six attributes of
+    * domain 4. Its batches hold 5^6 (interleaved: 5^6 − 1) patterns or
+    * more, times ⌈n/64⌉ = 66 words: above [[DatasetIndex.ParallelWork]].
+    */
+  def largeIndex(seed: Long): DatasetIndex =
+    RandomData.index(seed, n = 64 * 65 + 1, m = 6, maxCard = 4, minCard = 4)
+
+  /** Words per bitset of `ix`: a batch's work is its size times this. */
+  def words(ix: DatasetIndex): Long = (ix.size + 63L) / 64
+
+  /** Naive counts by row scans, one scan per distinct pattern: for each
+    * pattern, the 0-based ranks of the tuples that match it, in order.
+    * s_D is their number, the top-k count the number below k.
+    */
+  def matchingRanks(ix: DatasetIndex, patterns: Iterable[Pattern]): Map[Pattern, Array[Int]] =
+    patterns.iterator.distinct.map(p => p -> ix.rows.indices.filter(i => p.matches(ix.rows(i))).toArray).toMap
+
+  /** `(s_D, top-k count)` of `p` from [[matchingRanks]]. */
+  def naive(ranks: Map[Pattern, Array[Int]], p: Pattern, k: Int): (Int, Int) = {
+    val r = ranks(p)
+    (r.length, r.count(_ < k))
+  }
+}
+
+/** Delegating counter that records the largest batch it was asked for. */
+final class MaxBatchCounter(inner: PatternCounter) extends PatternCounter {
+  var maxBatch = 0
+  override def width: Int = inner.width
+  override def domainSizes: IndexedSeq[Int] = inner.domainSizes
+  override def datasetSize: Long = inner.datasetSize
+  override def countBatch(patterns: Seq[Pattern], k: Int): Map[Pattern, (Long, Long)] = {
+    maxBatch = math.max(maxBatch, patterns.size)
+    inner.countBatch(patterns, k)
+  }
+  override def rankedRow(rank: Int): Array[Int] = inner.rankedRow(rank)
 }
 
 /** Delegating counter that sleeps `sleepMillis` on the first read of the

@@ -68,4 +68,21 @@ class IterTDSpec extends AnyFunSuite {
       val expect = BruteForce.run(rix, bound, tauS, 3, 20)
       assert(got.resByK == expect, s"seed=$seed")
     }
+
+  test("IterTD ≡ GlobalBounds ≡ BruteForce above the parallel threshold, repeatably") {
+    val rix = RandomData.index(seed = 900, n = 20000, m = 6, maxCard = 4, minCard = 4)
+    val bound = GlobalLowerBound(k => (k / 40).toDouble) // steps at k = 1040
+    def run(algo: PatternCounter => DetectionResult) = {
+      val c = new MaxBatchCounter(new LocalPatternCounter(rix))
+      val res = algo(c)
+      assert(c.maxBatch * KernelBatches.words(rix) >= DatasetIndex.ParallelWork)
+      res
+    }
+    val iter = Seq.fill(2)(run(IterTD.run(_, bound, 200, 1036, 1044)))
+    val glob = Seq.fill(2)(run(GlobalBounds.run(_, bound, 200, 1036, 1044)))
+    val expect = BruteForce.run(rix, bound, 200, 1036, 1044)
+    assert(expect.values.exists(_.nonEmpty))
+    for (r <- iter ++ glob) assert(r.resByK == expect)
+    assert(iter(0).examined == iter(1).examined && glob(0).examined == glob(1).examined)
+  }
 }

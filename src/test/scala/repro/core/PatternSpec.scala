@@ -122,4 +122,20 @@ class PatternSpec extends AnyFunSuite {
       assert(dom.forall(p => min.exists(_.strictlySubsumes(p))))
     }
   }
+
+  test("property: patterns are equal iff their values are, and equal patterns hash alike") {
+    val pat = Gen.choose(1, 4).flatMap(w => Gen.listOfN(w, Gen.choose(-1, 1))).map(v => Pattern(v.toVector))
+    // half the pairs rebuild the first pattern from a fresh Vector
+    val gen = Gen.zip(pat, pat, Gen.oneOf(true, false)).map { case (a, b, same) =>
+      (a, if (same) Pattern(a.vals.toList.toVector) else b)
+    }
+    val pairs = samples(gen, 400)
+    for ((a, b) <- pairs) {
+      assert((a == b) == (a.vals == b.vals), s"$a vs $b")
+      assert((b == a) == (a == b))
+      if (a == b) assert(a.hashCode == b.hashCode)
+    }
+    assert(pairs.exists { case (a, b) => a == b } && pairs.exists { case (a, b) => a != b })
+    assert(pairs.exists { case (a, b) => a.width != b.width && a.vals.take(b.width) == b.vals.take(a.width) })
+  }
 }

@@ -120,4 +120,20 @@ class PropBoundsSpec extends AnyFunSuite {
     }
     assert(witnessed, "no oscillating pattern found — tighten the generator")
   }
+
+  test("PropBounds ≡ IterTD above the parallel threshold, repeatably") {
+    val rix = RandomData.index(seed = 901, n = 20000, m = 6, maxCard = 4, minCard = 4)
+    val alpha = 0.8
+    def run(algo: PatternCounter => DetectionResult) = {
+      val c = new MaxBatchCounter(new LocalPatternCounter(rix))
+      val res = algo(c)
+      assert(c.maxBatch * KernelBatches.words(rix) >= DatasetIndex.ParallelWork)
+      res
+    }
+    val opt  = Seq.fill(2)(run(PropBounds.run(_, alpha, 50, 1000, 1010)))
+    val base = Seq.fill(2)(run(IterTD.run(_, ProportionalLowerBound(alpha, rix.size.toLong), 50, 1000, 1010)))
+    assert(base(0).resByK.values.exists(_.nonEmpty))
+    for (r <- opt ++ base) assert(r.resByK == base(0).resByK)
+    assert(opt(0).examined == opt(1).examined && base(0).examined == base(1).examined)
+  }
 }
