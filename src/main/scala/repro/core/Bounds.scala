@@ -15,11 +15,30 @@ sealed trait BiasBound {
   /** Is a pattern with the given counts biased at position `k`? */
   final def biased(cnt: Long, sD: Long, k: Int): Boolean =
     cnt.toDouble < threshold(sD, k)
+
+  /** The first k in `[from, until]` at which a pattern with the fixed
+    * counts `cnt` and `sD` is biased, or `Int.MaxValue` if there is none.
+    * Walks k; a bound with a closed form overrides it.
+    */
+  def nextBiasedK(cnt: Long, sD: Long, from: Int, until: Int): Int = {
+    var k = from.toLong
+    while (k <= until && !biased(cnt, sD, k.toInt)) k += 1
+    if (k > until) Int.MaxValue else k.toInt
+  }
+
+  /** True iff some threshold is lower at `k` than at `k - 1`, so that a
+    * biased pattern may recover without gaining a tuple. The incremental
+    * engine relies on thresholds that do not fall, and searches afresh at
+    * such a k.
+    */
+  def fallsAt(k: Int): Boolean = false
 }
 
 /** Problem 3.1: user-given bounds `L_k`, independent of the group size. */
 final case class GlobalLowerBound(lk: Int => Double) extends BiasBound {
   override def threshold(sD: Long, k: Int): Double = lk(k)
+
+  override def fallsAt(k: Int): Boolean = lk(k) < lk(k - 1)
 }
 
 object GlobalLowerBound {
@@ -54,10 +73,16 @@ final case class ProportionalLowerBound(alpha: Double, dSize: Long) extends Bias
     while (k > 1 && biased(cnt, sD, k - 1)) k -= 1
     k
   }
+
+  /** The threshold grows with k, so this is `k̃` clamped to `from`. */
+  override def nextBiasedK(cnt: Long, sD: Long, from: Int, until: Int): Int = {
+    val k = math.max(from, kTilde(cnt, sD))
+    if (k > until) Int.MaxValue else k
+  }
 }
 
 /** Cooperative wall-clock budget for the searches; checked once per BFS
-  * wave and, in the incremental algorithms, once per k, so a timed-out
+  * wave and, in the incremental engine, once per k, so a timed-out
   * run returns a partial result quickly (the paper uses a 10-minute
   * timeout in Figures 4–5).
   */

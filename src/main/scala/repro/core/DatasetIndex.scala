@@ -179,12 +179,6 @@ final class DatasetIndex(
   /** s_D(p): number of tuples in D satisfying `p`. */
   def sizeD(p: Pattern): Int = sizes(p, 0)._1
 
-  /** s_{R^k(D)}(p): number of tuples among the top-k satisfying `p`. */
-  def sizeTopK(p: Pattern, k: Int): Int = sizes(p, k)._2
-
-  /** Does the tuple ranked `rank` (1-based) satisfy `p`? */
-  def tupleSatisfies(rank: Int, p: Pattern): Boolean = p.matches(rows(rank - 1))
-
   /** Render a pattern against this schema. */
   def render(p: Pattern): String = p.render(attrNames, domains)
 }

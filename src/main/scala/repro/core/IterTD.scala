@@ -5,8 +5,10 @@ import scala.collection.immutable.SortedMap
 /** Result of a detection run over a range of k.
   *
   * @param resByK   for each k, the most general biased patterns `Res[k]`
-  * @param examined total number of pattern-count computations performed
-  *                 (the "patterns examined" metric of Section VI-B)
+  * @param examined number of patterns counted, summed over every top-down
+  *                 search of the run (the "patterns examined" metric of
+  *                 Section VI-B). The incremental engine's per-k count
+  *                 bumps by the new tuple read one row and count nothing
   * @param timedOut whether the run was cut short by the budget; if so
   *                 `resByK` covers only the completed prefix of the range
   */

@@ -119,14 +119,4 @@ object Pattern {
     assignments.foreach { case (a, x) => v = v.updated(a, x) }
     Pattern(v)
   }
-
-  /** Partition `patterns` into (most general, dominated): a pattern is
-    * dominated iff some other pattern in the set strictly subsumes it.
-    * A one-shot use of [[MostGeneral]], which the searches keep current.
-    */
-  def splitMostGeneral(patterns: Iterable[Pattern]): (Set[Pattern], Set[Pattern]) = {
-    val mg = new MostGeneral
-    mg.update(Nil, patterns)
-    (mg.res, mg.members.toSet -- mg.res)
-  }
 }

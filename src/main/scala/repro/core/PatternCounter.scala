@@ -22,13 +22,10 @@ trait PatternCounter {
   def countBatch(patterns: Seq[Pattern], k: Int): Map[Pattern, (Long, Long)]
 
   /** Encoded attribute values of the tuple ranked `rank` (1-based) —
-    * `R(D)[rank]` in the paper. The incremental algorithms use it to
-    * decide which tracked patterns the newly admitted tuple satisfies.
+    * `R(D)[rank]` in the paper. The incremental engine walks the tracked
+    * patterns the newly admitted tuple satisfies along it.
     */
   def rankedRow(rank: Int): Array[Int]
-
-  /** Does the tuple ranked `rank` satisfy `p`? */
-  final def tupleSatisfies(rank: Int, p: Pattern): Boolean = p.matches(rankedRow(rank))
 }
 
 /** Bitset counter over a [[DatasetIndex]]: a batch is one call of

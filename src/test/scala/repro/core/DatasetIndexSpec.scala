@@ -16,12 +16,12 @@ class DatasetIndexSpec extends AnyFunSuite {
   }
 
   test("Example 2.3: s_{R^5(D)}({School=GP}) = 1") {
-    assert(ix.sizeTopK(p(1 -> 0), 5) == 1)
+    assert(ix.sizes(p(1 -> 0), 5)._2 == 1)
   }
 
   test("root pattern counts the whole dataset") {
     assert(ix.sizeD(Pattern.root(4)) == 16)
-    assert(ix.sizeTopK(Pattern.root(4), 7) == 7)
+    assert(ix.sizes(Pattern.root(4), 7)._2 == 7)
   }
 
   test("single-attribute sizes match Figure 1") {
@@ -36,8 +36,8 @@ class DatasetIndexSpec extends AnyFunSuite {
   }
 
   test("Example 2.4: one GP student in the top-5") {
-    assert(ix.sizeTopK(p(1 -> 0), 5) == 1)
-    assert(ix.sizeTopK(p(1 -> 1), 5) == 4)
+    assert(ix.sizes(p(1 -> 0), 5)._2 == 1)
+    assert(ix.sizes(p(1 -> 1), 5)._2 == 4)
   }
 
   test("conjunctive pattern sizes match hand counts") {
@@ -50,25 +50,26 @@ class DatasetIndexSpec extends AnyFunSuite {
     for (k <- 1 to 16) {
       val (d, t) = ix.sizes(p(2 -> 1), k)
       assert(d == ix.sizeD(p(2 -> 1)))
-      assert(t == ix.sizeTopK(p(2 -> 1), k))
+      assert(t == ix.rows.take(k).count(p(2 -> 1).matches))
     }
   }
 
   test("top-k counts are monotone in k") {
     val pat = p(0 -> 0, 3 -> 1)
-    val counts = (1 to 16).map(ix.sizeTopK(pat, _))
+    val counts = (1 to 16).map(ix.sizes(pat, _)._2)
     assert(counts.zip(counts.tail).forall { case (a, b) => a <= b })
     assert(counts.last == ix.sizeD(pat))
   }
 
-  test("tupleSatisfies agrees with the raw Figure 1 rows") {
+  test("rankedRow agrees with the raw Figure 1 rows") {
+    val counter = new LocalPatternCounter(ix)
     // rank 1 is student 12: (F, GP, U, 0)
-    assert(ix.tupleSatisfies(1, p(0 -> 0)))
-    assert(ix.tupleSatisfies(1, p(1 -> 0, 2 -> 1)))
-    assert(!ix.tupleSatisfies(1, p(3 -> 1)))
+    assert(p(0 -> 0).matches(counter.rankedRow(1)))
+    assert(p(1 -> 0, 2 -> 1).matches(counter.rankedRow(1)))
+    assert(!p(3 -> 1).matches(counter.rankedRow(1)))
     // rank 5 is student 14: (M, MS, U, 1)
-    assert(ix.tupleSatisfies(5, p(0 -> 1, 1 -> 1, 2 -> 1, 3 -> 1)))
-    assert(!ix.tupleSatisfies(5, p(2 -> 0)))
+    assert(p(0 -> 1, 1 -> 1, 2 -> 1, 3 -> 1).matches(counter.rankedRow(5)))
+    assert(!p(2 -> 0).matches(counter.rankedRow(5)))
   }
 
   test("random data: bitset counts equal naive scans") {
@@ -83,7 +84,7 @@ class DatasetIndexSpec extends AnyFunSuite {
         val naiveD = rix.rows.count(r => pat.attrs.forall(a => r(a) == pat.vals(a)))
         val naiveK = rix.rows.take(k).count(r => pat.attrs.forall(a => r(a) == pat.vals(a)))
         assert(rix.sizeD(pat) == naiveD, s"sizeD mismatch for $pat seed=$seed")
-        assert(rix.sizeTopK(pat, k) == naiveK, s"sizeTopK mismatch for $pat k=$k seed=$seed")
+        assert(rix.sizes(pat, k)._2 == naiveK, s"top-k count mismatch for $pat k=$k seed=$seed")
       }
     }
   }

@@ -57,6 +57,19 @@ object RunningExample {
   def p(assignments: (Int, Int)*): Pattern = Pattern.of(4, assignments: _*)
 }
 
+/** One-shot use of [[MostGeneral]], which the searches keep current. */
+object MostGeneralFixture {
+
+  /** Partition `patterns` into (most general, dominated): a pattern is
+    * dominated iff some other pattern in the set strictly subsumes it.
+    */
+  def splitMostGeneral(patterns: Iterable[Pattern]): (Set[Pattern], Set[Pattern]) = {
+    val mg = new MostGeneral
+    mg.update(Nil, patterns)
+    (mg.res, mg.members.toSet -- mg.res)
+  }
+}
+
 /** Small random ranked datasets for property-style tests (pure Scala —
   * the searches are exercised without Spark; Spark paths have their own
   * suites).
@@ -81,6 +94,19 @@ object RandomData {
     val step = 1 + rnd.nextInt(5)
     val base = 1 + rnd.nextInt(3)
     GlobalLowerBound(k => (base + (k / step)).toDouble)
+  }
+
+  /** Random step bounds for Problem 3.1 that rise and fall, by up to 4 at
+    * one k: steps of 1–6 positions at levels 0–5.
+    */
+  def wavyBound(seed: Long, kMax: Int): GlobalLowerBound = {
+    val rnd = new Random(seed * 17 + 5)
+    val levels = Iterator
+      .continually(Seq.fill(1 + rnd.nextInt(6))(rnd.nextInt(6).toDouble))
+      .flatten
+      .take(kMax + 1)
+      .toVector
+    GlobalLowerBound(levels)
   }
 }
 
@@ -142,6 +168,22 @@ final class MaxBatchCounter(inner: PatternCounter) extends PatternCounter {
   override def datasetSize: Long = inner.datasetSize
   override def countBatch(patterns: Seq[Pattern], k: Int): Map[Pattern, (Long, Long)] = {
     maxBatch = math.max(maxBatch, patterns.size)
+    inner.countBatch(patterns, k)
+  }
+  override def rankedRow(rank: Int): Array[Int] = inner.rankedRow(rank)
+}
+
+/** Delegating counter that records the k of every batch holding a
+  * level-1 pattern. Only a search from the root counts those, so this
+  * lists the k at which a run searched afresh.
+  */
+final class RootSearchCounter(inner: PatternCounter) extends PatternCounter {
+  val rootSearchKs = scala.collection.mutable.ArrayBuffer.empty[Int]
+  override def width: Int = inner.width
+  override def domainSizes: IndexedSeq[Int] = inner.domainSizes
+  override def datasetSize: Long = inner.datasetSize
+  override def countBatch(patterns: Seq[Pattern], k: Int): Map[Pattern, (Long, Long)] = {
+    if (patterns.exists(_.level == 1)) rootSearchKs += k
     inner.countBatch(patterns, k)
   }
   override def rankedRow(rank: Int): Array[Int] = inner.rankedRow(rank)

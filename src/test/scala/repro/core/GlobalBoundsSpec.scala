@@ -20,11 +20,13 @@ class GlobalBoundsSpec extends AnyFunSuite {
       p(2 -> 1, 3 -> 1)))
   }
 
-  test("bound increase triggers a fresh search and stays correct") {
+  test("bound increase needs no fresh search and stays correct") {
     val lk: Int => Double = k => if (k < 6) 1.0 else 2.0
-    val got = GlobalBounds.run(counter, GlobalLowerBound(lk), tauS = 4, kMin = 4, kMax = 8)
+    val c = new RootSearchCounter(counter)
+    val got = GlobalBounds.run(c, GlobalLowerBound(lk), tauS = 4, kMin = 4, kMax = 8)
     val expect = BruteForce.run(ix, GlobalLowerBound(lk), 4, 4, 8)
     assert(got.resByK == expect)
+    assert(c.rootSearchKs == Seq(4))
   }
 
   test("examined is below ITERTD's on the paper's default configuration shape") {
@@ -90,7 +92,7 @@ class GlobalBoundsSpec extends AnyFunSuite {
     val base = IterTD.run(counter, bound, tauS = 4, kMin = 4, kMax = 16)
     assert(opt.resByK == expect && base.resByK == expect)
     assert(expect.values.map(_.size).toSeq == Seq(6, 9, 9, 8, 5, 4, 10, 7, 5, 3, 0, 0, 0))
-    assert(opt.examined == 177L)
+    assert(opt.examined == 77L)
     assert(base.examined == 828L)
   }
 
@@ -109,15 +111,73 @@ class GlobalBoundsSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](GlobalBounds.run(counter, GlobalLowerBound(_ => 2.0), 0, 4, 5))
   }
 
-  test("Proposition 4.3 sanity: the new tuple affects at most half the tracked patterns") {
-    // For every k, the tuple R(D)[k] satisfies at most half of any sibling
-    // value-pair set; check the weaker observable: affected ≤ |B|.
-    val bound = GlobalLowerBound(_ => 2.0)
-    for (k <- 5 to 16) {
-      val snap = TopDownSearch.singleK(counter, bound, 4, k - 1)
-      val tracked = snap.res ++ snap.dres
-      val affected = tracked.count(counter.tupleSatisfies(k, _))
-      assert(affected <= tracked.size)
+  test("Proposition 4.3: R(D)[k] satisfies one child per sibling set") {
+    // The walk's premise: the counts that grow at k are exactly those of
+    // the patterns R(D)[k] satisfies, and below a node it satisfies the
+    // tuple matches one child per attribute; below any other node, none.
+    val doms = ix.domainSizes
+    val all = Iterator.iterate(Vector(Pattern.root(4)))(_.flatMap(_.searchTreeChildren(doms)))
+      .takeWhile(_.nonEmpty).flatten.toVector
+    for (k <- 2 to 16) {
+      val row = counter.rankedRow(k)
+      for (q <- all)
+        assert(ix.sizes(q, k)._2 - ix.sizes(q, k - 1)._2 == (if (q.matches(row)) 1 else 0), s"k=$k $q")
+      for (n <- all; a <- (n.maxIdx + 1) until n.width) {
+        val hits = (0 until doms(a)).count(v => Pattern(n.vals.updated(a, v)).matches(row))
+        assert(hits == (if (n.matches(row)) 1 else 0), s"k=$k node=$n attr=$a")
+      }
     }
+  }
+
+  test("running example with an L_k that rises and then falls equals ITERTD and brute force") {
+    // Falls at k = 9 and k = 15: a biased pattern may recover without
+    // gaining a tuple, so the engine searches afresh there.
+    val lk: Int => Double = k => if (k < 6) 1.0 else if (k < 9) 3.0 else if (k < 13) 2.0 else if (k < 15) 4.0 else 1.0
+    val bound = GlobalLowerBound(lk)
+    assert((3 to 16).filter(bound.fallsAt) == Seq(9, 15))
+    val c = new RootSearchCounter(counter)
+    val got = GlobalBounds.run(c, bound, tauS = 4, kMin = 2, kMax = 16)
+    assert(c.rootSearchKs == Seq(2, 9, 15))
+    val expect = BruteForce.run(ix, bound, 4, 2, 16)
+    assert(got.resByK == expect)
+    assert(IterTD.run(counter, bound, 4, 2, 16).resByK == expect)
+  }
+
+  for (seed <- 0 until 20)
+    test(s"equivalent to ITERTD and brute force with rising and falling step bounds (seed $seed)") {
+      val rix = RandomData.index(seed + 1100, n = 40, m = 4)
+      val c = new LocalPatternCounter(rix)
+      val bound = RandomData.wavyBound(seed, 35)
+      val tauS = 2 + seed % 4
+      val got  = GlobalBounds.run(c, bound, tauS, 2, 35)
+      val expect = BruteForce.run(rix, bound, tauS, 2, 35)
+      assert(got.resByK == expect, s"seed=$seed")
+      assert(IterTD.run(c, bound, tauS, 2, 35).resByK == expect, s"seed=$seed")
+    }
+
+  test("steps of 2 or more: a count the new tuple raises can still fall below the bound") {
+    // A step of 2 or more can pass a count in the same k that R(D)[k]
+    // raises it by 1; the seeds together must reach that case.
+    var witnessed = 0
+    for (seed <- 0 until 10) {
+      val rix = RandomData.index(seed + 1200, n = 50, m = 4)
+      val c = new LocalPatternCounter(rix)
+      val step = 3 + seed % 3
+      val bound = GlobalLowerBound(k => (1 + 2 * (k / step) + seed % 2 * (k / (2 * step))).toDouble)
+      val tauS = 2 + seed % 3
+      val got = GlobalBounds.run(c, bound, tauS, 2, 45)
+      val expect = BruteForce.run(rix, bound, tauS, 2, 45)
+      assert(got.resByK == expect, s"seed=$seed")
+      assert(IterTD.run(c, bound, tauS, 2, 45).resByK == expect, s"seed=$seed")
+      val region = BruteForce.tauRegion(rix, tauS)
+      witnessed += (3 to 45).count { k =>
+        val row = rix.rows(k - 1)
+        region.exists { q =>
+          val (sD, before) = rix.sizes(q, k - 1)
+          q.matches(row) && !bound.biased(before, sD, k - 1) && bound.biased(before + 1, sD, k)
+        }
+      }
+    }
+    assert(witnessed > 0, "no pattern gained a tuple while the bound passed it")
   }
 }

@@ -5,6 +5,7 @@ import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 
 class PatternSpec extends AnyFunSuite {
+  import MostGeneralFixture.splitMostGeneral
 
   /** Deterministically drawn samples from a ScalaCheck generator. */
   private def samples[A](gen: Gen[A], n: Int): Seq[A] =
@@ -78,13 +79,13 @@ class PatternSpec extends AnyFunSuite {
     val a = Pattern.of(4, 0 -> 0)
     val ab = Pattern.of(4, 0 -> 0, 1 -> 1)
     val c = Pattern.of(4, 2 -> 1)
-    val (min, dom) = Pattern.splitMostGeneral(Seq(ab, a, c))
+    val (min, dom) = splitMostGeneral(Seq(ab, a, c))
     assert(min == Set(a, c) && dom == Set(ab))
   }
 
   test("splitMostGeneral of an antichain keeps everything") {
     val xs = Seq(Pattern.of(4, 0 -> 0), Pattern.of(4, 0 -> 1), Pattern.of(4, 1 -> 0))
-    val (min, dom) = Pattern.splitMostGeneral(xs)
+    val (min, dom) = splitMostGeneral(xs)
     assert(min == xs.toSet && dom.isEmpty)
   }
 
@@ -116,7 +117,7 @@ class PatternSpec extends AnyFunSuite {
   test("property: splitMostGeneral partition covers the input") {
     val gen = Gen.listOfN(8, Gen.listOfN(4, Gen.choose(-1, 1)).map(v => Pattern(v.toVector)))
     for (ps <- samples(gen, 100)) {
-      val (min, dom) = Pattern.splitMostGeneral(ps)
+      val (min, dom) = splitMostGeneral(ps)
       assert((min ++ dom) == ps.toSet)
       assert(min.forall(p => !min.exists(_.strictlySubsumes(p))))
       assert(dom.forall(p => min.exists(_.strictlySubsumes(p))))

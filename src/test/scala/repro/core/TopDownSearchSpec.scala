@@ -88,6 +88,31 @@ class TopDownSearchSpec extends AnyFunSuite {
     }
   }
 
+  test("nextBiasedK is the first biased k in [from, until], for both bound types") {
+    val bounds = Seq(0.5, 0.9, 1.3).map(ProportionalLowerBound(_, 16)) ++ Seq(
+      GlobalLowerBound(k => math.min(8, (k / 4) * 2).toDouble), // steps of 2
+      GlobalLowerBound(k => if (k % 7 < 3) 5.0 else 2.0),      // rises and falls
+    )
+    var pastKTilde = 0
+    for (b <- bounds; sD <- 1L to 16L; cnt <- 0L to sD; from <- 1 to 24; until <- Seq(from - 1, from, from + 3, 24, 40)) {
+      val k = b.nextBiasedK(cnt, sD, from, until)
+      val clue = s"$b sD=$sD cnt=$cnt from=$from until=$until k=$k"
+      if (k == Int.MaxValue) assert((from to until).forall(!b.biased(cnt, sD, _)), clue)
+      else {
+        assert(from <= k && k <= until && b.biased(cnt, sD, k), clue)
+        assert((from until k).forall(!b.biased(cnt, sD, _)), clue)
+      }
+      b match {
+        case pb: ProportionalLowerBound if from > pb.kTilde(cnt, sD) && k == from => pastKTilde += 1
+        case _ => ()
+      }
+    }
+    assert(pastKTilde > 0)
+    assert(GlobalLowerBound(_ => 3.0).nextBiasedK(2, 4, 5, Int.MaxValue) == 5)
+    assert(GlobalLowerBound(_ => 3.0).nextBiasedK(3, 4, Int.MaxValue - 2, Int.MaxValue) == Int.MaxValue)
+    assert(ProportionalLowerBound(0.5, 16).nextBiasedK(16, 16, 1, Int.MaxValue) == 33)
+  }
+
   test("proportional bound rejects α that is not positive and finite") {
     // α = 0 with cnt = 0 would send kTilde walking toward Int.MaxValue.
     for (alpha <- Seq(0.0, -1.0, Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity))

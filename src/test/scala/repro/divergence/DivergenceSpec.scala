@@ -20,7 +20,7 @@ class DivergenceSpec extends SparkSpec {
     val oD = 5.0 / 16
     for (g <- got) {
       val sD = ix.sizeD(g.p)
-      val top = ix.sizeTopK(g.p, 5)
+      val top = ix.sizes(g.p, 5)._2
       assert(g.support == sD)
       assert(math.abs(g.outcome - top.toDouble / sD) < 1e-12)
       assert(math.abs(g.divergence - (top.toDouble / sD - oD)) < 1e-12)
