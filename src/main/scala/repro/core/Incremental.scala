@@ -38,11 +38,10 @@ object PropBounds {
   *    next `L_k` step above its count for a global one
   *    ([[BiasBound.nextBiasedK]]).
   *
-  * The engine keeps one node per visited search-tree pattern with
-  * `s_D ≥ τ_s` (Definition 4.1; the pattern graph of Asudeh, Jin &
-  * Jagadish, ICDE 2019): its dataset size, its live top-k count, whether
-  * it is biased, and — once expanded — its children by (attribute, value).
-  * The first k runs Algorithm 1 from the root. At every later k:
+  * The engine keeps the search-tree nodes ([[TopDownSearch.Node]]) that
+  * Algorithm 1 ([[TopDownSearch.Tree.search]]) counted with
+  * `s_D ≥ τ_s`, and keeps their top-k counts live. The first k searches
+  * from the root. At every later k:
   *
   *  1. the walk follows only `R(D)[k]`'s value on each attribute above a
   *     node's [[Pattern.maxIdx]], so it reaches exactly the tracked
@@ -66,20 +65,11 @@ object PropBounds {
   * every most general biased pattern is tracked, and the most general
   * biased nodes are exactly `Res[k]` (Propositions 4.5 / 4.8, checked in
   * tests against ITERTD and the brute-force spec). The budget is checked
-  * at the top of every k, as well as in each BFS wave, so a timed-out run
-  * covers exactly the k it completed.
+  * at the top of every k, as well as before each search wave, so a
+  * timed-out run covers exactly the k it completed.
   */
 private[core] object Incremental {
-
-  private final class Node(val p: Pattern, val sD: Long, var cnt: Long, var biased: Boolean) {
-    val maxIdx: Int = p.maxIdx
-
-    /** Null until expanded; then slot `offset(a) - offset(maxIdx + 1) + v`
-      * holds the child with attribute `a` set to `v`, or null when that
-      * child has `s_D < τ_s`.
-      */
-    var children: Array[Node] = _
-  }
+  import TopDownSearch.Node
 
   def run(
       counter: PatternCounter,
@@ -92,9 +82,8 @@ private[core] object Incremental {
     require(kMin >= 1 && kMax >= kMin && kMax <= counter.datasetSize, s"bad range [$kMin,$kMax]")
     require(tauS >= 1, s"τ_s must be at least 1, got $tauS")
     val width = counter.width
-    val domainSizes = counter.domainSizes
-    // offset(a): number of (attribute, value) pairs on attributes below a.
-    val offset = domainSizes.scanLeft(0)(_ + _).toArray
+    val tree = new TopDownSearch.Tree(counter, bound, tauS)
+    val offset = tree.offset
 
     var res = SortedMap.empty[Int, Set[Pattern]]
     var examined = 0L
@@ -106,8 +95,6 @@ private[core] object Incremental {
     // turn biased at k; entries are verified when k is reached.
     var due: Array[mutable.ArrayBuffer[Node]] = null
 
-    def expand(n: Node): Unit = n.children = new Array[Node](offset(width) - offset(n.maxIdx + 1))
-
     def schedule(n: Node, k: Int): Unit = {
       val next = bound.nextBiasedK(n.cnt, n.sD, k + 1, kMax)
       if (next <= kMax) {
@@ -117,35 +104,15 @@ private[core] object Incremental {
       }
     }
 
-    /** Algorithm 1 at k below the just-expanded `parents`: links every node
-      * with `s_D ≥ τ_s` to its parent, expands and schedules the open ones,
-      * and collects the biased ones into `entered`.
+    /** Algorithm 1 at k below the never-expanded `parents`: schedules the
+      * nodes it opens and collects the biased ones into `entered`.
       */
     def search(parents: Iterable[Node], k: Int, entered: mutable.ArrayBuffer[Pattern]): Unit = {
-      if (parents.isEmpty) return
-      val open = mutable.HashMap.empty[Pattern, Node]
-      parents.foreach(n => open(n.p) = n)
-      def link(p: Pattern, sD: Long, cnt: Long, isBiased: Boolean): Node = {
-        val m = p.maxIdx
-        val parent = open(Pattern(p.vals.updated(m, Pattern.Wildcard)))
-        val n = new Node(p, sD, cnt, isBiased)
-        parent.children(offset(m) - offset(parent.maxIdx + 1) + p.vals(m)) = n
-        n
-      }
-      val frontier = parents.iterator.flatMap(_.p.searchTreeChildren(domainSizes)).toVector
-      val (ex, to) = TopDownSearch.bfs(counter, bound, tauS, k, frontier, budget) {
-        case TopDownSearch.Biased(p, sD, cnt) =>
-          link(p, sD, cnt, isBiased = true)
-          entered += p
-        case TopDownSearch.Open(p, sD, cnt) =>
-          val n = link(p, sD, cnt, isBiased = false)
-          expand(n)
-          open(p) = n
-          schedule(n, k)
-        case _ => ()
-      }
-      examined += ex
-      timedOut ||= to
+      val found = tree.search(parents, k, budget)
+      found.opened.foreach(schedule(_, k))
+      found.biased.foreach(entered += _.p)
+      examined += found.examined
+      timedOut ||= found.timedOut
     }
 
     /** Bumps the count of every node below `n` that `row` satisfies;
@@ -183,15 +150,13 @@ private[core] object Incremental {
       val entered = mutable.ArrayBuffer.empty[Pattern]
       if (budget.expired) timedOut = true
       else if (k == kMin || bound.fallsAt(k)) {
-        root = new Node(Pattern.root(width), counter.datasetSize, 0L, biased = false) // never counted
-        expand(root)
+        root = tree.root()
         biasedSet = new MostGeneral
         due = new Array(kMax - kMin + 1)
         search(Seq(root), k, entered)
       } else {
         val recovered = mutable.ArrayBuffer.empty[Node]
         walk(root, counter.rankedRow(k), k, left, recovered)
-        recovered.foreach(expand)
         search(recovered, k, entered)
         val bucket = due(k - kMin)
         due(k - kMin) = null

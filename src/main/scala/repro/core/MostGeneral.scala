@@ -43,12 +43,6 @@ final class MostGeneral {
   /** Members of `B`, in no particular (but deterministic) order. */
   def members: Iterator[Pattern] = byKey.valuesIterator.flatMap(_.iterator.map(_.p))
 
-  /** Add `p` to `B`; true iff it is most general afterwards. */
-  def add(p: Pattern): Boolean = {
-    val m = insert(p)
-    if (m eq null) minimal.contains(p) else classify(m)
-  }
-
   /** `B := (B − left) ∪ entered`, keeping [[res]] exact. */
   def update(left: Iterable[Pattern], entered: Iterable[Pattern]): Unit = {
     val orphans = mutable.ArrayBuffer.empty[Member]
@@ -73,14 +67,11 @@ final class MostGeneral {
   /** Decide whether the new member `m` is most general; if so, evict the
     * `Res` members it strictly subsumes.
     */
-  private def classify(m: Member): Boolean = {
-    val most = !dominated(m)
-    if (most) {
+  private def classify(m: Member): Unit =
+    if (!dominated(m)) {
       strictSupersets(m).foreach(x => minimal -= x.p)
       minimal += m.p
     }
-    most
-  }
 
   private def find(p: Pattern): Member = {
     var xs = byKey.getOrNull(keyOf(p))

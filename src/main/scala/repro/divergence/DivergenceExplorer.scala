@@ -1,7 +1,6 @@
 package repro.divergence
 
-import scala.collection.mutable
-import repro.core.{Budget, Pattern, PatternCounter}
+import repro.core.{Budget, GlobalLowerBound, Pattern, PatternCounter, TopDownSearch}
 
 /** Reimplementation of the comparison method of Pastor, de Alfaro and
   * Baralis [27] ("Identifying biased subgroups in ranking and
@@ -14,10 +13,10 @@ import repro.core.{Budget, Pattern, PatternCounter}
   * *all* subgroups with support at least `minSupport` (no most-general
   * filtering and a single k), ranked by divergence.
   *
-  * Enumeration is level-wise over the search tree (support is
-  * anti-monotone), with each level counted in one
-  * [[PatternCounter.countBatch]] call — frequent-pattern mining as
-  * DataFrame aggregation when backed by the Spark counter.
+  * Enumeration is the top-down search of Algorithm 1
+  * ([[TopDownSearch.Tree.search]]) with `τ_s = minSupport` and a bound of
+  * 0: no count is below 0, so it opens every pattern with enough support
+  * (support is anti-monotone) and the opened nodes are the subgroups.
   */
 object DivergenceExplorer {
 
@@ -27,29 +26,16 @@ object DivergenceExplorer {
   /** All subgroups with support ≥ `minSupport`, sorted by divergence
     * descending (ties broken deterministically by pattern rendering).
     */
-  def run(
-      counter: PatternCounter,
-      k: Int,
-      minSupport: Long,
-      budget: Budget = Budget.unlimited,
-  ): Seq[DivGroup] = {
+  def run(counter: PatternCounter, k: Int, minSupport: Long): Seq[DivGroup] = {
     val oD = k.toDouble / counter.datasetSize
-    val out = mutable.ArrayBuffer.empty[DivGroup]
-    var frontier: Seq[Pattern] =
-      Pattern.root(counter.width).searchTreeChildren(counter.domainSizes)
-    while (frontier.nonEmpty && !budget.expired) {
-      val counts = counter.countBatch(frontier, k)
-      val next = mutable.ArrayBuffer.empty[Pattern]
-      for (p <- frontier) {
-        val (sD, cnt) = counts(p)
-        if (sD >= minSupport) {
-          val oG = cnt.toDouble / sD
-          out += DivGroup(p, sD, oG, oG - oD)
-          next ++= p.searchTreeChildren(counter.domainSizes)
-        }
+    val tree = new TopDownSearch.Tree(counter, GlobalLowerBound(_ => 0.0), minSupport)
+    tree
+      .search(Seq(tree.root()), k, Budget.unlimited)
+      .opened
+      .map { n =>
+        val oG = n.cnt.toDouble / n.sD
+        DivGroup(n.p, n.sD, oG, oG - oD)
       }
-      frontier = next.toSeq
-    }
-    out.sortBy(g => (-g.divergence, g.p.toString)).toSeq
+      .sortBy(g => (-g.divergence, g.p.toString))
   }
 }

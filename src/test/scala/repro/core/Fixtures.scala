@@ -160,14 +160,17 @@ object KernelBatches {
   }
 }
 
-/** Delegating counter that records the largest batch it was asked for. */
-final class MaxBatchCounter(inner: PatternCounter) extends PatternCounter {
-  var maxBatch = 0
+/** Delegating counter that records the size of every batch it was asked
+  * for, in call order.
+  */
+final class BatchLogCounter(inner: PatternCounter) extends PatternCounter {
+  val sizes = scala.collection.mutable.ArrayBuffer.empty[Int]
+  def maxBatch: Int = sizes.max
   override def width: Int = inner.width
   override def domainSizes: IndexedSeq[Int] = inner.domainSizes
   override def datasetSize: Long = inner.datasetSize
   override def countBatch(patterns: Seq[Pattern], k: Int): Map[Pattern, (Long, Long)] = {
-    maxBatch = math.max(maxBatch, patterns.size)
+    sizes += patterns.size
     inner.countBatch(patterns, k)
   }
   override def rankedRow(rank: Int): Array[Int] = inner.rankedRow(rank)

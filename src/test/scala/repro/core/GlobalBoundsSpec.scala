@@ -96,6 +96,20 @@ class GlobalBoundsSpec extends AnyFunSuite {
     assert(base.examined == 828L)
   }
 
+  test("running example, k ∈ [4,16]: exact countBatch calls, none empty, for GLOBALBOUNDS and ITERTD") {
+    // One call per search wave that has patterns to count: a search below
+    // leaves only, or below no node at all, must not count an empty batch.
+    val bound = GlobalLowerBound(k => if (k < 10) 2.0 else 3.0)
+    val opt = new BatchLogCounter(counter)
+    val base = new BatchLogCounter(counter)
+    val optExamined = GlobalBounds.run(opt, bound, tauS = 4, kMin = 4, kMax = 16).examined
+    val baseExamined = IterTD.run(base, bound, tauS = 4, kMin = 4, kMax = 16).examined
+    assert(opt.sizes.forall(_ > 0) && base.sizes.forall(_ > 0))
+    assert(opt.sizes.sum == optExamined && base.sizes.sum == baseExamined)
+    assert(opt.sizes.size == 9)
+    assert(base.sizes.size == 39)
+  }
+
   test("the budget is checked once per k, between searches") {
     // Every level-1 pattern stays biased, so no k after kMin runs a BFS
     // wave; the deadline passes while R(D)[5] is read.

@@ -73,7 +73,7 @@ class IterTDSpec extends AnyFunSuite {
     val rix = RandomData.index(seed = 900, n = 20000, m = 6, maxCard = 4, minCard = 4)
     val bound = GlobalLowerBound(k => (k / 40).toDouble) // steps at k = 1040
     def run(algo: PatternCounter => DetectionResult) = {
-      val c = new MaxBatchCounter(new LocalPatternCounter(rix))
+      val c = new BatchLogCounter(new LocalPatternCounter(rix))
       val res = algo(c)
       assert(c.maxBatch * KernelBatches.words(rix) >= DatasetIndex.ParallelWork)
       res

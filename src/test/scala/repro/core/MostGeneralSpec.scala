@@ -39,9 +39,9 @@ class MostGeneralSpec extends AnyFunSuite {
         rnd.nextInt(3) match {
           case 0 =>
             val p = ps(rnd.nextInt(ps.size))
-            val most = mg.add(p)
+            mg.update(Nil, Seq(p))
             model += p
-            assert(most == allPairs(model).contains(p), clue)
+            assert(mg.res.contains(p) == allPairs(model).contains(p), clue)
           case 1 =>
             val left = if (model.isEmpty) Nil else rnd.shuffle(model.toList).take(1 + rnd.nextInt(3))
             mg.update(left, Nil)
@@ -86,8 +86,11 @@ class MostGeneralSpec extends AnyFunSuite {
     val x = Pattern.of(3, 1 -> 0)
     val mg = new MostGeneral
     mg.update(Nil, Seq(x))
-    assert(!mg.add(Pattern.of(3, 1 -> 0, 2 -> 1)))
-    assert(mg.add(r))
+    val y = Pattern.of(3, 1 -> 0, 2 -> 1)
+    mg.update(Nil, Seq(y))
+    assert(!mg.res.contains(y))
+    mg.update(Nil, Seq(r))
+    assert(mg.res.contains(r))
     assert(mg.res == Set(r))
     mg.update(Seq(r), Nil)
     assert(mg.res == Set(x))

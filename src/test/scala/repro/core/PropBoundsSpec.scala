@@ -88,6 +88,19 @@ class PropBoundsSpec extends AnyFunSuite {
     assert(base.examined == 453L)
   }
 
+  test("running example, k ∈ [4,16]: exact countBatch calls, none empty, for PROPBOUNDS and ITERTD") {
+    // One call per search wave that has patterns to count: a search below
+    // leaves only, or below no node at all, must not count an empty batch.
+    val opt = new BatchLogCounter(counter)
+    val base = new BatchLogCounter(counter)
+    val optExamined = PropBounds.run(opt, 0.9, tauS = 5, kMin = 4, kMax = 16).examined
+    val baseExamined = IterTD.run(base, ProportionalLowerBound(0.9, 16), tauS = 5, kMin = 4, kMax = 16).examined
+    assert(opt.sizes.forall(_ > 0) && base.sizes.forall(_ > 0))
+    assert(opt.sizes.sum == optExamined && base.sizes.sum == baseExamined)
+    assert(opt.sizes.size == 6)
+    assert(base.sizes.size == 39)
+  }
+
   test("the budget is checked once per k, between searches") {
     // With α = |D| every level-1 pattern stays biased, so no k after kMin
     // runs a BFS wave; the deadline passes while R(D)[5] is read.
@@ -125,7 +138,7 @@ class PropBoundsSpec extends AnyFunSuite {
     val rix = RandomData.index(seed = 901, n = 20000, m = 6, maxCard = 4, minCard = 4)
     val alpha = 0.8
     def run(algo: PatternCounter => DetectionResult) = {
-      val c = new MaxBatchCounter(new LocalPatternCounter(rix))
+      val c = new BatchLogCounter(new LocalPatternCounter(rix))
       val res = algo(c)
       assert(c.maxBatch * KernelBatches.words(rix) >= DatasetIndex.ParallelWork)
       res

@@ -2,7 +2,8 @@ package repro.data
 
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
-import repro.core.RunningExample
+import repro.core._
+import repro.divergence.DivergenceExplorer
 
 class EncodingSpec extends SparkSpec {
 
@@ -97,5 +98,23 @@ class EncodingSpec extends SparkSpec {
     assert(dicts(1)(first.getInt(1)) == "GP")
     assert(dicts(2)(first.getInt(2)) == "U")
     assert(dicts(3)(first.getInt(3)) == "0")
+  }
+
+  test("an empty attribute list gives a width-0 index on which every detector finds nothing") {
+    val ix = Encoding.index(rankedDf, Nil, "rank")
+    assert(ix.width == 0 && ix.size == 16)
+    val c = new LocalPatternCounter(ix)
+    val none = (1 to 16).map(_ -> Set.empty[Pattern]).toMap
+    val global = GlobalLowerBound(_ => 2.0)
+    val prop = ProportionalLowerBound(0.9, 16)
+    val runs = Seq(
+      IterTD.run(c, global, 1, 1, 16),
+      IterTD.run(c, prop, 1, 1, 16),
+      GlobalBounds.run(c, global, 1, 1, 16),
+      PropBounds.run(c, 0.9, 1, 1, 16),
+    )
+    for (r <- runs) assert(r.resByK == none && r.examined == 0 && !r.timedOut)
+    assert(BruteForce.run(ix, global, 1, 1, 16) == none && BruteForce.run(ix, prop, 1, 1, 16) == none)
+    assert(DivergenceExplorer.run(c, k = 5, minSupport = 1).isEmpty)
   }
 }
