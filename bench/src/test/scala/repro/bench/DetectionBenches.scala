@@ -52,9 +52,7 @@ class T1AttributesBench extends SparkSpec {
 class T2ThresholdBench extends SparkSpec {
 
   test("T2: runtime vs size threshold (Figures 6-7)") {
-    // descending: smaller τ_s means a larger search space, so the
-    // timeout-skip logic stays monotone along the sweep
-    val rows = Experiments.t2Threshold(spark, BenchConfig.timeoutMs, taus = Seq(100, 75, 50, 25, 10))
+    val rows = Experiments.t2Threshold(spark, BenchConfig.timeoutMs)
     println(Experiments.renderTimings("T2 / Figures 6-7: runtime vs size threshold", rows))
 
     // Shape: runtime decreases (weakly, modulo noise floor) as τ_s grows.

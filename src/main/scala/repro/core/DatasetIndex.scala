@@ -22,6 +22,9 @@ package repro.core
   * @param domainSizes active-domain cardinality per attribute
   * @param attrNames   attribute names (for rendering)
   * @param domains     value labels per attribute (for rendering)
+  * @throws IllegalArgumentException if a row's width is not the number
+  *         of attributes, or the bitsets (Σ domain × ⌈n/64⌉ × 8 bytes)
+  *         exceed the JVM's maximum heap
   */
 final class DatasetIndex(
     val rows: Array[Array[Int]],
@@ -38,6 +41,9 @@ final class DatasetIndex(
   val width: Int = domainSizes.length
 
   private val nWords: Int = (size + 63) >>> 6
+
+  // Bitsets that cannot fit in the heap are rejected before allocating.
+  require(nWords == 0 || domainSizes.map(_.toLong).sum <= Runtime.getRuntime.maxMemory / 8 / nWords, tooLarge)
 
   /** `words(a)(v)`: positions whose tuple has value `v` for attribute `a`. */
   private val words: Array[Array[Array[Long]]] = {
@@ -178,6 +184,15 @@ final class DatasetIndex(
 
   /** s_D(p): number of tuples in D satisfying `p`. */
   def sizeD(p: Pattern): Int = sizes(p, 0)._1
+
+  /** Why the bitsets do not fit in the heap, naming the widest attribute. */
+  private def tooLarge: String = {
+    val gib = (bytes: Double) => f"${bytes / (1L << 30)}%.1f GiB"
+    val widest = domainSizes.indices.maxBy(domainSizes)
+    s"the index's bitsets need ${gib(domainSizes.map(_.toDouble).sum * nWords * 8)} " +
+      s"(Σ domain × ⌈n/64⌉ × 8 bytes), more than the ${gib(Runtime.getRuntime.maxMemory.toDouble)} heap: " +
+      s"attribute ${attrNames(widest)} has the largest domain (${domainSizes(widest)} values); bucketize it"
+  }
 
   /** Render a pattern against this schema. */
   def render(p: Pattern): String = p.render(attrNames, domains)

@@ -47,29 +47,24 @@ object Experiments {
     (a, (System.nanoTime() - t0) / 1000000L)
   }
 
-  private def runAlgo(
-      algo: String,
-      counter: PatternCounter,
-      problem: String,
-      tauS: Long,
-      kMin: Int,
-      kMax: Int,
-      timeoutMs: Long,
-  ): DetectionResult = {
-    val budget = Budget.ofMillis(timeoutMs)
-    (algo, problem) match {
-      case ("IterTD", "global") =>
-        IterTD.run(counter, GlobalLowerBound.paperDefault, tauS, kMin, kMax, budget)
-      case ("IterTD", "prop") =>
-        IterTD.run(counter, ProportionalLowerBound(DefaultAlpha, counter.datasetSize), tauS, kMin, kMax, budget)
-      case ("GlobalBounds", "global") =>
-        GlobalBounds.run(counter, GlobalLowerBound.paperDefault, tauS, kMin, kMax, budget)
-      case ("PropBounds", "prop") =>
-        PropBounds.run(counter, DefaultAlpha, tauS, kMin, kMax, budget)
-      case other => throw new IllegalArgumentException(s"bad combination $other")
-    }
-  }
+  /** The four timed runs of every sweep point: (problem, algorithm, run
+    * on a counter with τ_s, k_min, k_max and a budget).
+    */
+  private val runs: Seq[(String, String, (PatternCounter, Long, Int, Int, Budget) => DetectionResult)] = Seq(
+    ("global", "IterTD", (c, tauS, kMin, kMax, b) =>
+      IterTD.run(c, GlobalLowerBound.paperDefault, tauS, kMin, kMax, b)),
+    ("global", "GlobalBounds", (c, tauS, kMin, kMax, b) =>
+      GlobalBounds.run(c, GlobalLowerBound.paperDefault, tauS, kMin, kMax, b)),
+    ("prop", "IterTD", (c, tauS, kMin, kMax, b) =>
+      IterTD.run(c, ProportionalLowerBound(DefaultAlpha, c.datasetSize), tauS, kMin, kMax, b)),
+    ("prop", "PropBounds", (c, tauS, kMin, kMax, b) =>
+      PropBounds.run(c, DefaultAlpha, tauS, kMin, kMax, b)),
+  )
 
+  /** Times every run at every point of `points`, which lists the easiest
+    * point first: once a run times out, it is not run at later points,
+    * which are reported as timed out.
+    */
   private def sweep(
       spark: SparkSession,
       paramName: String,
@@ -78,22 +73,18 @@ object Experiments {
       timeoutMs: Long,
   ): Seq[TimingRow] = {
     val rows = Seq.newBuilder[TimingRow]
-    for (ds <- datasets(spark)) {
-      for ((problem, algos) <- Seq("global" -> Seq("IterTD", "GlobalBounds"),
-                                   "prop"   -> Seq("IterTD", "PropBounds"));
-           algo <- algos) {
-        var skip = false // once an algo times out, larger points only get slower
-        for (pt <- points(ds)) {
-          if (!skip) {
-            val (ix, tauS, kMin, kMax) = config(ds, pt)
-            val counter = new LocalPatternCounter(ix)
-            val (res, ms) = time(runAlgo(algo, counter, problem, tauS, kMin, kMax, timeoutMs))
-            rows += TimingRow(ds.name, problem, algo, paramName, pt, ms, res.timedOut,
-              res.examined, res.resByK.values.map(_.size).toSeq)
-            skip = res.timedOut
-          } else {
-            rows += TimingRow(ds.name, problem, algo, paramName, pt, timeoutMs, timedOut = true, 0L, Seq.empty)
-          }
+    for (ds <- datasets(spark); (problem, algo, run) <- runs) {
+      var skip = false
+      for (pt <- points(ds)) {
+        if (!skip) {
+          val (ix, tauS, kMin, kMax) = config(ds, pt)
+          val counter = new LocalPatternCounter(ix)
+          val (res, ms) = time(run(counter, tauS, kMin, kMax, Budget.ofMillis(timeoutMs)))
+          rows += TimingRow(ds.name, problem, algo, paramName, pt, ms, res.timedOut,
+            res.examined, res.resByK.values.map(_.size).toSeq)
+          skip = res.timedOut
+        } else {
+          rows += TimingRow(ds.name, problem, algo, paramName, pt, timeoutMs, timedOut = true, 0L, Seq.empty)
         }
       }
     }
@@ -110,7 +101,7 @@ object Experiments {
     case _         => Seq(3, 8, 12, 16, 20)
   }
 
-  def t1Attributes(spark: SparkSession, timeoutMs: Long = 30000): Seq[TimingRow] =
+  def t1Attributes(spark: SparkSession, timeoutMs: Long): Seq[TimingRow] =
     sweep(spark, "nAttrs", attrPoints,
       (ds, n) => (indexFor(ds, n.toInt), DefaultTauS, DefaultKMin, DefaultKMax), timeoutMs)
 
@@ -118,11 +109,13 @@ object Experiments {
   // T2 — Figures 6–7: running time vs size threshold τ_s.
   // ------------------------------------------------------------------
 
-  def t2Threshold(spark: SparkSession, timeoutMs: Long = 30000,
-                  taus: Seq[Long] = Seq(10, 25, 50, 75, 100)): Seq[TimingRow] = {
+  /** Descending: a smaller τ_s admits more patterns. */
+  val tauPoints: Seq[Long] = Seq(100, 75, 50, 25, 10)
+
+  def t2Threshold(spark: SparkSession, timeoutMs: Long): Seq[TimingRow] = {
     // reuse one index per dataset: τ_s does not change the encoding
     val cache = scala.collection.mutable.Map.empty[String, DatasetIndex]
-    sweep(spark, "tauS", _ => taus,
+    sweep(spark, "tauS", _ => tauPoints,
       (ds, tau) => (cache.getOrElseUpdate(ds.name, indexFor(ds, ds.attrCols.size)),
                     tau, DefaultKMin, DefaultKMax), timeoutMs)
   }
@@ -137,7 +130,7 @@ object Experiments {
     case _        => Seq(50, 125, 200, 275, 350)
   }
 
-  def t3KRange(spark: SparkSession, timeoutMs: Long = 60000): Seq[TimingRow] = {
+  def t3KRange(spark: SparkSession, timeoutMs: Long): Seq[TimingRow] = {
     val cache = scala.collection.mutable.Map.empty[String, DatasetIndex]
     sweep(spark, "kMax", kMaxPoints,
       (ds, kMax) => (cache.getOrElseUpdate(ds.name, indexFor(ds, ds.attrCols.size)),
@@ -204,7 +197,7 @@ object Experiments {
         .filter(p => p.attrs == Seq(attrIdx))
         .minByOption(_.vals(attrIdx))
         .getOrElse(detected.maxBy(ix.sizeD))
-      ds.name -> ResultAnalysis.explain(ds, group, DefaultKMax)
+      ds.name -> ResultAnalysis.explain(ds, ix, group, DefaultKMax)
     }
   }
 

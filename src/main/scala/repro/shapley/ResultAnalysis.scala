@@ -1,8 +1,6 @@
 package repro.shapley
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-import repro.core.Pattern
+import repro.core.{DatasetIndex, Pattern}
 import repro.data.{BiasDataGen, Encoding}
 
 /** End-to-end result analysis (Section V): given a group detected as
@@ -10,10 +8,13 @@ import repro.data.{BiasDataGen, Encoding}
   *
   *  1. train the surrogate regression model `M_R` on `(t, rank(t))`;
   *  2. compute per-tuple Shapley values of every tuple in the group and
-  *     aggregate them per attribute, `s_i = Σ_t s_i^t / s_D(p)`, as a
-  *     DataFrame aggregation over the group's rows;
+  *     aggregate them per attribute, `s_i = Σ_t s_i^t / s_D(p)`;
   *  3. compare the value distribution of the highest-Shapley attribute
   *     between the group and the top-k tuples (Figures 10d–f).
+  *
+  * The group's tuples and the top-k prefix are read from the
+  * [[DatasetIndex]] the detection ran on, whose dictionaries give the
+  * pattern's value codes their meaning. Only the ridge fit runs on Spark.
   */
 object ResultAnalysis {
 
@@ -32,70 +33,49 @@ object ResultAnalysis {
   )
 
   /** Explain the biased representation of `pattern` in the top-k of
-    * `ranked`. Shapley values use the exact closed form for the linear
-    * surrogate (the Monte-Carlo engine is validated against it in
-    * tests).
+    * `ranked`, where `index` is the index of `ranked` that the detection
+    * ran on. Shapley values use the exact closed form for the linear
+    * surrogate (the Monte-Carlo engine is validated against it in tests).
+    *
+    * @throws IllegalArgumentException if `index` covers other attributes
+    *         or dictionaries than `ranked`, `pattern` has another width,
+    *         no tuple matches `pattern`, or `k` is outside [1, |D|]
     */
-  def explain(ranked: BiasDataGen.RankedDataset, pattern: Pattern, k: Int): Explanation = {
-    val spark = ranked.df.sparkSession
-    import spark.implicits._
-
+  def explain(ranked: BiasDataGen.RankedDataset, index: DatasetIndex, pattern: Pattern, k: Int): Explanation = {
     val attrs = ranked.attrCols
+    require(index.attrNames == attrs,
+      s"the index covers attributes ${index.attrNames.mkString(",")}, the dataset ${attrs.mkString(",")}")
     require(pattern.width == attrs.length, "pattern width must match the schema")
+    require(k >= 1 && k <= index.size, s"k must be in [1, ${index.size}]: $k")
+    val group = index.rows.filter(pattern.matches)
+    require(group.nonEmpty, s"no tuple matches the group ${index.render(pattern)}")
+
     val (enc, domainSizes, dicts) = Encoding.encode(ranked.df, attrs, ranked.rankCol)
-    val encCached = enc.cache()
-    val model = RidgeRegression.fit(encCached, attrs, domainSizes, ranked.rankCol)
+    require(dicts == index.domains, "the index's dictionaries differ from the dataset's")
+    val model = RidgeRegression.fit(enc, attrs, domainSizes, ranked.rankCol)
 
-    val m = attrs.length
-    val bcModel = spark.sparkContext.broadcast(model)
-
-    // Per-tuple Shapley vectors, kept alongside the encoded values.
-    val shapDf: DataFrame = encCached
-      .select(attrs.map(c => col(c).cast("int")) :+ col(ranked.rankCol).cast("int"): _*)
-      .map { r =>
-        val vals = Array.tabulate(m)(r.getInt)
-        val shap = Shapley.linearExact(bcModel.value, vals)
-        (r.getInt(m), vals.toSeq, shap.toSeq)
-      }
-      .toDF("rank", "vals", "shap")
-
-    val groupPred = pattern.attrs
-      .map(a => element_at(col("vals"), a + 1) === lit(pattern.vals(a)))
-      .reduceOption(_ && _)
-      .getOrElse(lit(true))
-
-    // s_i = Σ_{t ⊨ p} s_i^t / s_D(p) — one aggregation over the group.
-    val aggExprs = (0 until m).map(i => avg(element_at(col("shap"), i + 1)).alias(s"s$i"))
-    val aggRow = shapDf.filter(groupPred).agg(aggExprs.head, aggExprs.tail: _*).collect()(0)
-    val agg = (0 until m)
-      .map(i => attrs(i) -> aggRow.getDouble(i))
+    // s_i = Σ_{t ⊨ p} s_i^t / s_D(p)
+    val phis = group.map(Shapley.linearExact(model, _))
+    val agg = attrs.indices
+      .map(i => attrs(i) -> phis.map(_(i)).sum / group.length)
       .sortBy { case (_, v) => -math.abs(v) }
 
     val topAttr = agg.head._1
     val topIdx = attrs.indexOf(topAttr)
 
-    def distribution(pred: org.apache.spark.sql.Column): Seq[(String, Double)] = {
-      val rows = shapDf
-        .filter(pred)
-        .groupBy(element_at(col("vals"), topIdx + 1).alias("v"))
-        .agg(count(lit(1)).alias("c"))
-        .collect()
-      val total = rows.map(_.getLong(1)).sum.toDouble
-      (0 until domainSizes(topIdx)).map { v =>
-        val c = rows.find(_.getInt(0) == v).map(_.getLong(1)).getOrElse(0L)
-        dicts(topIdx)(v) -> (if (total == 0) 0.0 else c / total)
-      }
+    def distribution(rows: Array[Array[Int]]): Seq[(String, Double)] = {
+      val counts = new Array[Int](index.domainSizes(topIdx))
+      for (r <- rows) counts(r(topIdx)) += 1
+      index.domains(topIdx).zip(counts).map { case (v, c) => v -> c.toDouble / rows.length }
     }
 
-    val out = Explanation(
+    Explanation(
       pattern = pattern,
-      rendered = pattern.render(attrs, dicts),
+      rendered = index.render(pattern),
       aggShapley = agg,
       topAttr = topAttr,
-      groupDist = distribution(groupPred),
-      topkDist = distribution(col("rank") <= lit(k)),
+      groupDist = distribution(group),
+      topkDist = distribution(index.rows.take(k)),
     )
-    encCached.unpersist()
-    out
   }
 }

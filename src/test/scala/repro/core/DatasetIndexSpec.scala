@@ -147,4 +147,16 @@ class DatasetIndexSpec extends AnyFunSuite {
       assert(e.getMessage.contains(s"width ${bad.width}"))
     }
   }
+
+  test("bitsets larger than the heap are rejected before allocating, naming the widest attribute") {
+    // One row needs one word per (attribute, value): Σ domain × 8 bytes.
+    val m = (Runtime.getRuntime.maxMemory / (8L * Int.MaxValue) + 2).toInt
+    val names = IndexedSeq.tabulate(m)(a => if (a == m / 2) "income" else s"A$a")
+    val sizes = IndexedSeq.tabulate(m)(a => if (a == m / 2) Int.MaxValue else Int.MaxValue - 1)
+    val e = intercept[IllegalArgumentException] {
+      new DatasetIndex(Array(new Array[Int](m)), sizes, names, names.map(_ => IndexedSeq.empty))
+    }
+    assert(e.getMessage.contains(s"attribute income has the largest domain (${Int.MaxValue} values)"))
+    assert(e.getMessage.contains("bucketize"))
+  }
 }

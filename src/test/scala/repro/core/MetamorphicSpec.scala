@@ -9,6 +9,11 @@ import scala.util.Random
   * reshapes the tree and every node's slot layout, and renaming the values
   * within each domain reorders every set of siblings. Under either, every
   * detector's `Res[k]` and the divergence groups map onto the originals.
+  *
+  * Duplicating each ranked tuple in place (the copies adjacent in rank)
+  * doubles |D|, every s_D and every count in the top-2k. With τ_s doubled
+  * too, the proportional `Res[2k]` equals `Res[k]`: the threshold
+  * `α · s_D · k / |D|` doubles exactly in floating point.
   */
 class MetamorphicSpec extends AnyFunSuite {
 
@@ -79,5 +84,35 @@ class MetamorphicSpec extends AnyFunSuite {
         assert(divAfter == divBefore.map(g => (f.pattern(g.p), g.support, g.outcome, g.divergence)).toSet,
           s"seed=$seed $what divergence")
       }
+    }
+
+  /** Each ranked tuple twice, the copies adjacent in rank. */
+  private def duplicated(ix: DatasetIndex): DatasetIndex =
+    new DatasetIndex(ix.rows.flatMap(r => Array(r, r)), ix.domainSizes, ix.attrNames, ix.domains)
+
+  /** Proportional ITERTD and PROPBOUNDS `Res[k]` on `ix`, k ∈ [1, kMax],
+    * against `Res[2k]` on the duplicated data with 2τ_s.
+    */
+  private def assertDuplicationInvariant(ix: DatasetIndex, alpha: Double, tauS: Long, kMax: Int, clue: String): Unit = {
+    val runs: Seq[(String, (PatternCounter, Long, Int, Int) => DetectionResult)] = Seq(
+      "ITERTD" -> ((c, tau, lo, hi) => IterTD.run(c, ProportionalLowerBound(alpha, c.datasetSize), tau, lo, hi)),
+      "PROPBOUNDS" -> ((c, tau, lo, hi) => PropBounds.run(c, alpha, tau, lo, hi)),
+    )
+    for ((algo, run) <- runs) {
+      val once = run(new LocalPatternCounter(ix), tauS, 1, kMax).resByK
+      val twice = run(new LocalPatternCounter(duplicated(ix)), 2 * tauS, 2, 2 * kMax).resByK
+      assert(once.values.exists(_.nonEmpty), s"$clue $algo: vacuous")
+      for ((k, res) <- once) assert(twice(2 * k) == res, s"$clue $algo k=$k")
+    }
+  }
+
+  test("duplicating every tuple with τ_s doubled keeps proportional Res[2k] = Res[k] (Figure 1)") {
+    for (alpha <- Seq(0.5, 0.8, 0.9, 1.0); tauS <- Seq(4L, 5L))
+      assertDuplicationInvariant(RunningExample.index, alpha, tauS, 16, s"alpha=$alpha tauS=$tauS")
+  }
+
+  for (seed <- 0 until 20)
+    test(s"duplicating every tuple with τ_s doubled keeps proportional Res[2k] = Res[k] (seed $seed)") {
+      assertDuplicationInvariant(data(seed), 0.6 + 0.1 * (seed % 5), 2 + seed % 3, 50, s"seed=$seed")
     }
 }

@@ -1,19 +1,23 @@
 package repro.shapley
 
+import org.apache.spark.sql.Row
 import repro.SparkSpec
 import repro.core.Pattern
-import repro.data.BiasDataGen
+import repro.data.{BiasDataGen, Encoding}
 
 class ResultAnalysisSpec extends SparkSpec {
 
   // Use a moderate schema so the suite stays fast.
   private lazy val student = BiasDataGen.studentLike(spark, nAttrs = 12)
+  private lazy val studentIx = Encoding.index(student.df, student.attrCols, student.rankCol)
+
+  private lazy val medu = Pattern.of(student.attrCols.size, student.attrCols.indexOf("Medu") -> 0)
 
   private lazy val meduExpl = {
     // group {Medu = 0} (primary education) — the paper's p1 analogue.
     val meduIdx = student.attrCols.indexOf("Medu")
     val p = Pattern.of(student.attrCols.size, meduIdx -> 0)
-    ResultAnalysis.explain(student, p, k = 49)
+    ResultAnalysis.explain(student, studentIx, p, k = 49)
   }
 
   test("aggregated Shapley covers every attribute") {
@@ -64,16 +68,68 @@ class ResultAnalysisSpec extends SparkSpec {
 
   test("explain validates the pattern width") {
     intercept[IllegalArgumentException] {
-      ResultAnalysis.explain(student, Pattern.of(3, 0 -> 0), k = 10)
+      ResultAnalysis.explain(student, studentIx, Pattern.of(3, 0 -> 0), k = 10)
     }
   }
 
   test("german-like: scoring attributes dominate the attribution (Fig 10c analogue)") {
     val german = BiasDataGen.germanLike(spark, nAttrs = 10)
     val p = Pattern.of(10, 0 -> 0) // {status_account = low}
-    val expl = ResultAnalysis.explain(german, p, k = 49)
+    val expl = ResultAnalysis.explain(german, Encoding.index(german.df, german.attrCols, german.rankCol), p, k = 49)
     val top4 = expl.aggShapley.take(4).map(_._1).toSet
     assert(Set("status_account", "duration", "credit_amount", "installment_rate")
       .intersect(top4).size >= 3, s"top4=$top4")
+  }
+
+  test("{Medu=0}: the distributions and aggregated Shapley values equal direct recomputations") {
+    val attrs = student.attrCols
+    val rows = student.df.collect()
+    def label(r: Row, c: String): String = Option(r.getAs[Any](c)).fold(Encoding.NullLabel)(_.toString)
+    val meduLabel = rows.map(label(_, "Medu")).distinct.min // value 0 of the sorted dictionary
+    val group = rows.filter(label(_, "Medu") == meduLabel)
+    // The surrogate refit here, and the group's encoded rows.
+    val (enc, domainSizes, _) = Encoding.encode(student.df, attrs, student.rankCol)
+    val model = RidgeRegression.fit(enc, attrs, domainSizes, student.rankCol)
+    val encGroup = enc.collect().map(r => Array.tabulate(attrs.length)(r.getInt)).filter(_(attrs.indexOf("Medu")) == 0)
+    assert(encGroup.length == group.length)
+    val phis = encGroup.map(Shapley.linearExact(model, _))
+    // At k = 49 the top-k holds one G3 value only; k = 150 mixes them.
+    for ((expl, k) <- Seq(meduExpl -> 49, ResultAnalysis.explain(student, studentIx, medu, k = 150) -> 150)) {
+      // Distributions: shares by string label over the collected rows.
+      val topK = rows.filter(_.getAs[Int](student.rankCol) <= k)
+      for ((dist, rs) <- Seq(expl.groupDist -> group, expl.topkDist -> topK)) {
+        val shares = rs.groupBy(label(_, expl.topAttr)).map { case (v, g) => v -> g.length.toDouble / rs.length }
+        assert(shares.keySet.subsetOf(dist.map(_._1).toSet), s"k=$k: $shares vs $dist")
+        for ((v, share) <- dist)
+          assert(math.abs(share - shares.getOrElse(v, 0.0)) < 1e-9, s"k=$k $v: $share vs $shares")
+      }
+      // Aggregated Shapley: the mean of linearExact over the group.
+      for ((a, v) <- expl.aggShapley) {
+        val want = phis.map(_(attrs.indexOf(a))).sum / phis.length
+        assert(math.abs(v - want) < 1e-9, s"k=$k $a: $v vs $want")
+      }
+    }
+  }
+
+  test("explain rejects a group no tuple matches") {
+    val empty = studentIx.rows.iterator
+      .map(r => Pattern(r.toVector.updated(0, 1 - r(0)))) // school has two values
+      .find(studentIx.sizeD(_) == 0)
+      .get
+    val e = intercept[IllegalArgumentException](ResultAnalysis.explain(student, studentIx, empty, k = 49))
+    assert(e.getMessage.contains("no tuple matches the group"))
+  }
+
+  test("explain rejects k outside [1, |D|]") {
+    for (k <- Seq(-1, 0, studentIx.size + 1)) {
+      val e = intercept[IllegalArgumentException](ResultAnalysis.explain(student, studentIx, medu, k))
+      assert(e.getMessage.contains(s"k must be in [1, ${studentIx.size}]"), s"k=$k")
+    }
+  }
+
+  test("explain rejects an index built on other attributes") {
+    val prefix = Encoding.index(student.df, student.attrCols.take(4), student.rankCol)
+    val e = intercept[IllegalArgumentException](ResultAnalysis.explain(student, prefix, medu, k = 49))
+    assert(e.getMessage.contains("the index covers attributes"))
   }
 }
