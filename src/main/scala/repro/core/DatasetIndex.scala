@@ -9,13 +9,15 @@ package repro.core
   * words; its count in the top-k is the same popcount over the first k
   * positions.
   *
-  * All counting goes through [[countBatch]]. A search-tree child
+  * All counting goes through [[countInto]]. A search-tree child
   * (Definition 4.1) is its parent plus one attribute-value, so the kernel
   * keeps the parent's AND in a scratch buffer while consecutive patterns
   * share a parent, and counts each child with one AND + popcount pass.
-  * A large batch is split into contiguous chunks counted in parallel on
-  * the common ForkJoin pool, each with its own scratch buffer; the
-  * results are the same as the sequential loop's.
+  * s_D does not depend on k: a pattern whose s_D the caller already
+  * knows costs only the first ⌈k/64⌉ words. A large batch is split into
+  * contiguous chunks counted in parallel on the common ForkJoin pool,
+  * each with its own scratch buffers; the results are the same as the
+  * sequential loop's.
   *
   * @param rows        encoded tuples in rank order; `rows(i)(a)` is the
   *                    value index of attribute `a` in the rank-(i+1) tuple
@@ -62,34 +64,55 @@ final class DatasetIndex(
   }
 
   /** Counts every pattern of `patterns`: `sD(i)` receives s_D and
-    * `topK(i)` receives s_{R^k(D)} of the i-th pattern.
-    *
-    * The batch is cut into [[DatasetIndex.chunks]] contiguous chunks: one,
-    * on the calling thread, below [[DatasetIndex.ParallelWork]] or on a
-    * one-CPU JVM; else several, counted on the common ForkJoin pool. Each
-    * chunk walks its patterns in order with its own scratch buffer, which
-    * holds the AND of the current parent (the pattern with its
-    * [[Pattern.maxIdx]] attribute set to wildcard). It is loaded at the
-    * chunk's first pattern and again only when the parent changes, so a
-    * batch that lists siblings next to each other — as the BFS does — pays
-    * one pass per child. A chunk writes only its own slots, and a count
-    * depends only on its pattern and `k`, so the results do not depend on
-    * the chunking or on thread timing. Nothing is allocated per pattern.
+    * `topK(i)` receives s_{R^k(D)} of the i-th pattern. This is
+    * [[countInto]] with every s_D unknown.
     *
     * @throws IllegalArgumentException if `k < 0` or a pattern's width is
     *         not [[width]]
     */
   def countBatch(patterns: IndexedSeq[Pattern], k: Int, sD: Array[Int], topK: Array[Int]): Unit = {
+    java.util.Arrays.fill(sD, 0, patterns.length, PatternCounter.Unknown)
+    countInto(patterns, k, sD, topK)
+  }
+
+  /** The counting kernel: `topK(i)` receives s_{R^k(D)} of the i-th
+    * pattern, and `sD(i)` its s_D if `sD(i)` is negative on entry
+    * ([[PatternCounter.Unknown]]). A slot with a known s_D is left as it
+    * is and costs only the first ⌈k/64⌉ words, where an unknown one reads
+    * all ⌈n/64⌉.
+    *
+    * The batch is cut into [[DatasetIndex.chunks]] contiguous chunks by
+    * the words it reads, ⌈n/64⌉ per unknown slot and ⌈k/64⌉ per known
+    * one: one chunk, on the calling thread, below
+    * [[DatasetIndex.ParallelWork]] or on a one-CPU JVM; else several,
+    * counted on the common ForkJoin pool. Each chunk walks its patterns in
+    * order with its own two scratch buffers, which hold the AND of a
+    * parent (the pattern with its [[Pattern.maxIdx]] attribute set to
+    * wildcard): a full-width one for the unknown slots, and one of the
+    * first ⌈k/64⌉ words for a known slot whose parent the full one does
+    * not hold. Each is loaded when the parent it must serve changes, so a
+    * batch that lists siblings next to each other — as the BFS does — pays
+    * one pass per child, and a known slot never loads the full width. A
+    * chunk writes only its own slots, and a count depends only on its
+    * pattern and `k`, so the results do not depend on the chunking or on
+    * thread timing. Nothing is allocated per pattern.
+    *
+    * @throws IllegalArgumentException if `k < 0` or a pattern's width is
+    *         not [[width]]
+    */
+  def countInto(patterns: IndexedSeq[Pattern], k: Int, sD: Array[Int], topK: Array[Int]): Unit = {
     require(k >= 0, s"k must be non-negative: $k")
     val n = patterns.length
+    var known = 0
     var i = 0
     while (i < n) {
       val w = patterns(i).width
       require(w == width, s"pattern ${patterns(i)} has width $w, the index has $width attributes")
+      if (sD(i) >= 0) known += 1
       i += 1
     }
     val kk = math.min(k, size)
-    val chunks = DatasetIndex.chunks(n, nWords, DatasetIndex.Cpus)
+    val chunks = DatasetIndex.chunks(n, nWords, DatasetIndex.Cpus, known, (kk + 63) >>> 6)
     if (chunks == 1) countRange(patterns, 0, n, kk, sD, topK)
     else
       java.util.stream.IntStream.range(0, chunks).parallel().forEach { c =>
@@ -97,8 +120,8 @@ final class DatasetIndex(
       }
   }
 
-  /** The kernel: counts `patterns(from until to)` into the same slots of
-    * `sD` / `topK`, with `kk = min(k, |D|)`.
+  /** Counts `patterns(from until to)` into the same slots of `sD` /
+    * `topK`, with `kk = min(k, |D|)`.
     */
   private def countRange(
       patterns: IndexedSeq[Pattern],
@@ -110,37 +133,54 @@ final class DatasetIndex(
   ): Unit = {
     val kFull = kk >>> 6
     val kMask = (1L << kk) - 1 // low (kk & 63) bits; unused when kk & 63 == 0
-    val scratch = new Array[Long](nWords)
-    var parentOf: Pattern = null // scratch holds the AND of this pattern's parent
-    var parentM = -1             // parentOf.maxIdx
+    val kWords = (kk + 63) >>> 6
+    val full = new Array[Long](nWords)
+    val head = new Array[Long](kWords) // the first kWords words only
+    var fullOf: Pattern = null // full holds the AND of this pattern's parent
+    var fullM = -1             // fullOf.maxIdx
+    var headOf: Pattern = null // head holds the AND of this pattern's parent
+    var headM = -1             // headOf.maxIdx
     var i = from
     while (i < to) {
       val p = patterns(i)
       val m = p.maxIdx
+      val known = sD(i) >= 0
       if (m < 0) {
-        sD(i) = size
+        if (!known) sD(i) = size
         topK(i) = kk
       } else {
-        if (m != parentM || !sameBelow(p, parentOf, m)) {
-          loadParent(p, m, scratch)
-          parentOf = p
-          parentM = m
-        }
+        val parent =
+          if (m == fullM && sameBelow(p, fullOf, m)) full
+          else if (!known) {
+            loadParent(p, m, full, nWords)
+            fullOf = p
+            fullM = m
+            full
+          } else {
+            if (m != headM || !sameBelow(p, headOf, m)) {
+              loadParent(p, m, head, kWords)
+              headOf = p
+              headM = m
+            }
+            head
+          }
         val leaf = words(m)(p.vals(m))
-        var d = 0
-        var j = 0
-        while (j < nWords) {
-          d += java.lang.Long.bitCount(scratch(j) & leaf(j))
-          j += 1
+        if (!known) {
+          var d = 0
+          var j = 0
+          while (j < nWords) {
+            d += java.lang.Long.bitCount(parent(j) & leaf(j))
+            j += 1
+          }
+          sD(i) = d
         }
         var t = 0
-        j = 0
+        var j = 0
         while (j < kFull) {
-          t += java.lang.Long.bitCount(scratch(j) & leaf(j))
+          t += java.lang.Long.bitCount(parent(j) & leaf(j))
           j += 1
         }
-        if ((kk & 63) != 0) t += java.lang.Long.bitCount(scratch(kFull) & leaf(kFull) & kMask)
-        sD(i) = d
+        if ((kk & 63) != 0) t += java.lang.Long.bitCount(parent(kFull) & leaf(kFull) & kMask)
         topK(i) = t
       }
       i += 1
@@ -156,16 +196,18 @@ final class DatasetIndex(
     a == m
   }
 
-  /** Fill `scratch` with the AND of `p`'s constraints on attributes `< m`. */
-  private def loadParent(p: Pattern, m: Int, scratch: Array[Long]): Unit = {
-    java.util.Arrays.fill(scratch, -1L)
+  /** Fill the first `len` words of `scratch` with the AND of `p`'s
+    * constraints on attributes `< m`.
+    */
+  private def loadParent(p: Pattern, m: Int, scratch: Array[Long], len: Int): Unit = {
+    java.util.Arrays.fill(scratch, 0, len, -1L)
     var a = 0
     while (a < m) {
       val v = p.vals(a)
       if (v != Pattern.Wildcard) {
         val w = words(a)(v)
         var j = 0
-        while (j < nWords) {
+        while (j < len) {
           scratch(j) &= w(j)
           j += 1
         }
@@ -208,11 +250,12 @@ object DatasetIndex {
   private[core] val Cpus: Int = Runtime.getRuntime.availableProcessors
 
   /** Number of chunks for a batch of `patterns` over `nWords`-word
-    * bitsets on `cpus` processors: 1 (the calling thread alone) for
-    * small batches or one CPU, else `4 × cpus` (at most one per pattern),
-    * so that uneven chunks still balance across the pool.
+    * bitsets on `cpus` processors, `known` of which have a known s_D and
+    * read only `kWords` words: 1 (the calling thread alone) for small
+    * batches or one CPU, else `4 × cpus` (at most one per pattern), so
+    * that uneven chunks still balance across the pool.
     */
-  private[core] def chunks(patterns: Int, nWords: Int, cpus: Int): Int =
-    if (cpus <= 1 || patterns.toLong * nWords < ParallelWork) 1
+  private[core] def chunks(patterns: Int, nWords: Int, cpus: Int, known: Int = 0, kWords: Int = 0): Int =
+    if (cpus <= 1 || (patterns - known).toLong * nWords + known.toLong * kWords < ParallelWork) 1
     else math.min(4 * cpus, patterns)
 }

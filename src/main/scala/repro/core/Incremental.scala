@@ -79,8 +79,7 @@ private[core] object Incremental {
       kMax: Int,
       budget: Budget,
   ): DetectionResult = {
-    require(kMin >= 1 && kMax >= kMin && kMax <= counter.datasetSize, s"bad range [$kMin,$kMax]")
-    require(tauS >= 1, s"τ_s must be at least 1, got $tauS")
+    TopDownSearch.requireValid(counter, tauS, kMin, kMax)
     val width = counter.width
     val tree = new TopDownSearch.Tree(counter, bound, tauS)
     val offset = tree.offset

@@ -18,10 +18,18 @@ final case class DetectionResult(
     timedOut: Boolean,
 )
 
-/** ITERTD — the baseline of Section IV-A: Algorithm 1 re-run from
-  * scratch for every k in `[kMin, kMax]`. Handles both problem
-  * definitions through the [[BiasBound]] abstraction, exactly as the
-  * paper's baseline does.
+/** ITERTD — the baseline of Section IV-A: Algorithm 1 re-run from the
+  * root for every k in `[kMin, kMax]`. Handles both problem definitions
+  * through the [[BiasBound]] abstraction, exactly as the paper's baseline
+  * does.
+  *
+  * Every k searches the whole tree again and `examined` counts every
+  * pattern each search visits, as in the paper. Only s_D, which does not
+  * depend on k, is carried across the k of one run: the run keeps one
+  * [[TopDownSearch.Tree]], whose expanded nodes hold their children's s_D
+  * ([[TopDownSearch.Node.childSD]]), so a pattern's s_D is counted at
+  * most once per run and each later visit counts only its top-k. Nothing
+  * is kept between runs.
   */
 object IterTD {
 
@@ -33,14 +41,15 @@ object IterTD {
       kMax: Int,
       budget: Budget = Budget.unlimited,
   ): DetectionResult = {
-    require(kMin >= 1 && kMax >= kMin && kMax <= counter.datasetSize, s"bad range [$kMin,$kMax]")
-    require(tauS >= 1, s"τ_s must be at least 1, got $tauS")
+    TopDownSearch.requireValid(counter, tauS, kMin, kMax)
+    val tree = new TopDownSearch.Tree(counter, bound, tauS)
+    val root = tree.root()
     var res = SortedMap.empty[Int, Set[Pattern]]
     var examined = 0L
     var k = kMin
     var timedOut = false
     while (k <= kMax && !timedOut) {
-      val snap = TopDownSearch.singleK(counter, bound, tauS, k, budget)
+      val snap = TopDownSearch.snapshot(tree.search(Seq(root), k, budget))
       examined += snap.examined
       timedOut = snap.timedOut
       if (!timedOut) res += k -> snap.res.toSet

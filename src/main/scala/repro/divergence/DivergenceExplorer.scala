@@ -25,8 +25,12 @@ object DivergenceExplorer {
 
   /** All subgroups with support ≥ `minSupport`, sorted by divergence
     * descending (ties broken deterministically by pattern rendering).
+    *
+    * @throws IllegalArgumentException if `minSupport < 1` (a group of no
+    *         tuples has no outcome) or `k` is outside `[1, |D|]`
     */
   def run(counter: PatternCounter, k: Int, minSupport: Long): Seq[DivGroup] = {
+    TopDownSearch.requireValid(counter, minSupport, k, k)
     val oD = k.toDouble / counter.datasetSize
     val tree = new TopDownSearch.Tree(counter, GlobalLowerBound(_ => 0.0), minSupport)
     tree

@@ -50,6 +50,58 @@ class CounterSpec extends SparkSpec {
     }
   }
 
+  test("local countInto with known and unknown s_D equals naive scans at the word boundaries of n and k") {
+    for (n <- KernelBatches.Sizes) {
+      val rix = RandomData.index(seed = n + 300, n = n, m = 4)
+      val counter = new LocalPatternCounter(rix)
+      val rnd = new scala.util.Random(n + 300)
+      val batches = KernelBatches.batches(rix.domainSizes, rnd)
+      val ranks = KernelBatches.matchingRanks(rix, batches.head._2)
+      for (k <- KernelBatches.ks(n); (name, batch) <- batches) {
+        val given = KernelBatches.mixedSizes(batch.size, rnd)
+        val sD = given.clone()
+        val topK = new Array[Int](batch.size)
+        counter.countInto(batch, k, sD, topK)
+        val wrong = KernelBatches.wrongSlots(ranks, batch, k, given, sD, topK)
+        assert(wrong.isEmpty, s"n=$n k=$k batch=$name: ${wrong.take(5).map(batch)}")
+      }
+    }
+  }
+
+  test("local countInto with known and unknown s_D above the parallel threshold equals naive scans") {
+    val rix = KernelBatches.largeIndex(seed = 108)
+    val counter = new LocalPatternCounter(rix)
+    val rnd = new scala.util.Random(108)
+    val batches = KernelBatches.batches(rix.domainSizes, rnd)
+    val ranks = KernelBatches.matchingRanks(rix, batches.head._2)
+    for ((name, batch) <- batches; k <- KernelBatches.ks(rix.size)) {
+      val given = KernelBatches.mixedSizes(batch.size, rnd)
+      assert(given.count(_ < 0) * KernelBatches.words(rix) >= DatasetIndex.ParallelWork, name)
+      val sD = given.clone()
+      val topK = new Array[Int](batch.size)
+      counter.countInto(batch, k, sD, topK)
+      val wrong = KernelBatches.wrongSlots(ranks, batch, k, given, sD, topK)
+      assert(wrong.isEmpty, s"k=$k batch=$name: ${wrong.take(5).map(batch)}")
+    }
+  }
+
+  test("the default countInto is one countBatch call with every pattern, and keeps known s_D") {
+    val rix = RandomData.index(seed = 301, n = 129, m = 4)
+    val rnd = new scala.util.Random(301)
+    val batches = KernelBatches.batches(rix.domainSizes, rnd)
+    val ranks = KernelBatches.matchingRanks(rix, batches.head._2)
+    for (k <- KernelBatches.ks(rix.size); (name, batch) <- batches) {
+      val log = new BatchLogCounter(new LocalPatternCounter(rix)) // overrides countBatch only
+      val given = KernelBatches.mixedSizes(batch.size, rnd)
+      val sD = given.clone()
+      val topK = new Array[Int](batch.size)
+      log.countInto(batch, k, sD, topK)
+      assert(log.sizes == Seq(batch.size), s"k=$k batch=$name")
+      val wrong = KernelBatches.wrongSlots(ranks, batch, k, given, sD, topK)
+      assert(wrong.isEmpty, s"k=$k batch=$name: ${wrong.take(5).map(batch)}")
+    }
+  }
+
   test("pattern counts validated against DuckDB") {
     import org.apache.spark.sql.functions._
     val df = exampleDf

@@ -105,7 +105,54 @@ class DatasetIndexSpec extends AnyFunSuite {
     }
   }
 
+  test("countInto with known and unknown s_D equals naive scans at the word boundaries of n and k") {
+    for (n <- KernelBatches.Sizes) {
+      val rix = RandomData.index(seed = n + 200, n = n, m = 4)
+      val rnd = new scala.util.Random(n + 200)
+      val batches = KernelBatches.batches(rix.domainSizes, rnd)
+      val ranks = KernelBatches.matchingRanks(rix, batches.head._2)
+      for (k <- KernelBatches.ks(n); (name, batch) <- batches) {
+        val given = KernelBatches.mixedSizes(batch.size, rnd)
+        val sD = given.clone()
+        val topK = new Array[Int](batch.size)
+        rix.countInto(batch, k, sD, topK)
+        val wrong = KernelBatches.wrongSlots(ranks, batch, k, given, sD, topK)
+        assert(wrong.isEmpty, s"n=$n k=$k batch=$name: ${wrong.take(5).map(batch)}")
+      }
+    }
+  }
+
   private lazy val large = KernelBatches.largeIndex(seed = 7)
+
+  test("countInto with known and unknown s_D above the parallel threshold equals naive scans") {
+    val rnd = new scala.util.Random(9)
+    val batches = KernelBatches.batches(large.domainSizes, rnd)
+    val ranks = KernelBatches.matchingRanks(large, batches.head._2)
+    for ((name, batch) <- batches; k <- KernelBatches.ks(large.size)) {
+      val given = KernelBatches.mixedSizes(batch.size, rnd)
+      val unknown = given.count(_ < 0)
+      assert(unknown * KernelBatches.words(large) >= DatasetIndex.ParallelWork, name)
+      val sD = given.clone()
+      val topK = new Array[Int](batch.size)
+      large.countInto(batch, k, sD, topK)
+      val wrong = KernelBatches.wrongSlots(ranks, batch, k, given, sD, topK)
+      assert(wrong.isEmpty, s"k=$k batch=$name: ${wrong.take(5).map(batch)}")
+    }
+  }
+
+  test("a wave whose s_D are all known is counted in one chunk") {
+    // Known slots read ⌈k/64⌉ words, not ⌈n/64⌉: the same wave with
+    // every s_D unknown is split.
+    val batch = KernelBatches.batches(large.domainSizes, new scala.util.Random(10)).head._2
+    val words = KernelBatches.words(large).toInt
+    assert(DatasetIndex.chunks(batch.size, words, cpus = 4) > 1)
+    for (k <- Seq(1, 63, 64, 65, 128)) {
+      val kWords = (k + 63) / 64
+      assert(DatasetIndex.chunks(batch.size, words, cpus = 4, known = batch.size, kWords = kWords) == 1, s"k=$k")
+    }
+    val unknown = (DatasetIndex.ParallelWork / words).toInt + 1
+    assert(DatasetIndex.chunks(batch.size, words, cpus = 4, known = batch.size - unknown, kWords = 1) > 1)
+  }
 
   test("countBatch above the parallel threshold equals naive scans") {
     val batches = KernelBatches.batches(large.domainSizes, new scala.util.Random(7))

@@ -158,6 +158,35 @@ object KernelBatches {
     val r = ranks(p)
     (r.length, r.count(_ < k))
   }
+
+  /** `sD` input for [[PatternCounter.countInto]] with a random mix of
+    * known and unknown slots, both present. A known slot holds a distinct
+    * value no s_D can take, so a kernel that writes or mixes up a known
+    * slot is caught.
+    */
+  def mixedSizes(slots: Int, rnd: Random): Array[Int] = {
+    val sD = Array.tabulate(slots)(i => if (rnd.nextBoolean()) Int.MaxValue - i else PatternCounter.Unknown)
+    sD(0) = Int.MaxValue
+    sD(slots - 1) = PatternCounter.Unknown
+    sD
+  }
+
+  /** Slots of a [[mixedSizes]] `given` whose results from
+    * [[PatternCounter.countInto]] are wrong: a known s_D not left as it
+    * was, an unknown one not equal to the naive count, or a top-k count
+    * not equal to the naive one.
+    */
+  def wrongSlots(
+      ranks: Map[Pattern, Array[Int]],
+      batch: IndexedSeq[Pattern],
+      k: Int,
+      given: Array[Int],
+      sD: Array[Int],
+      topK: Array[Int],
+  ): Seq[Int] = batch.indices.filter { i =>
+    val (d, t) = naive(ranks, batch(i), k)
+    topK(i) != t || sD(i) != (if (given(i) >= 0) given(i) else d)
+  }
 }
 
 /** Delegating counter that records the size of every batch it was asked
@@ -174,6 +203,35 @@ final class BatchLogCounter(inner: PatternCounter) extends PatternCounter {
     inner.countBatch(patterns, k)
   }
   override def rankedRow(rank: Int): Array[Int] = inner.rankedRow(rank)
+}
+
+/** Delegating counter that records, for every [[countInto]] call, the
+  * patterns whose s_D the caller did not know (the ones whose s_D the
+  * call counts) and those whose s_D it passed in.
+  */
+final class SizeLogCounter(inner: PatternCounter) extends PatternCounter {
+  val unknown = scala.collection.mutable.ArrayBuffer.empty[Vector[Pattern]]
+  val known = scala.collection.mutable.ArrayBuffer.empty[Vector[Pattern]]
+  override def width: Int = inner.width
+  override def domainSizes: IndexedSeq[Int] = inner.domainSizes
+  override def datasetSize: Long = inner.datasetSize
+  override def countBatch(patterns: Seq[Pattern], k: Int): Map[Pattern, (Long, Long)] =
+    inner.countBatch(patterns, k)
+  override def countInto(patterns: IndexedSeq[Pattern], k: Int, sD: Array[Int], topK: Array[Int]): Unit = {
+    val (u, kn) = patterns.indices.partition(sD(_) < 0)
+    unknown += u.map(patterns).toVector
+    known += kn.map(patterns).toVector
+    inner.countInto(patterns, k, sD, topK)
+  }
+  override def rankedRow(rank: Int): Array[Int] = inner.rankedRow(rank)
+
+  /** The patterns whose s_D was counted, over every call so far. */
+  def sizeCounted: Vector[Pattern] = unknown.toVector.flatten
+
+  def clear(): Unit = {
+    unknown.clear()
+    known.clear()
+  }
 }
 
 /** Delegating counter that records the k of every batch holding a

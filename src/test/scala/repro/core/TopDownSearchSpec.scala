@@ -143,6 +143,17 @@ class TopDownSearchSpec extends AnyFunSuite {
     assert(snap.examined == 9) // only level 1 counted, all biased
   }
 
+  test("singleK rejects τ_s < 1 and k outside [1, |D|]") {
+    for (tauS <- Seq(0L, -3L)) {
+      val e = intercept[IllegalArgumentException](TopDownSearch.singleK(counter, g2, tauS, k = 4))
+      assert(e.getMessage.contains(s"τ_s must be at least 1, got $tauS"))
+    }
+    for (k <- Seq(0, -1, 17)) {
+      val e = intercept[IllegalArgumentException](TopDownSearch.singleK(counter, g2, tauS = 4, k = k))
+      assert(e.getMessage.contains(s"bad range [$k,$k]"))
+    }
+  }
+
   test("expired budget returns timedOut") {
     val snap = TopDownSearch.singleK(counter, g2, tauS = 1, k = 4, budget = Budget.ofMillis(-1))
     assert(snap.timedOut)

@@ -74,6 +74,22 @@ class DivergenceSpec extends SparkSpec {
     )
   }
 
+  test("rejects a support threshold below 1, which would report groups of no tuples") {
+    // With minSupport = 0 a pattern of s_D = 0 is opened, and its outcome
+    // 0/0 is NaN.
+    for (s <- Seq(0L, -2L)) {
+      val e = intercept[IllegalArgumentException](DivergenceExplorer.run(counter, k = 5, minSupport = s))
+      assert(e.getMessage.contains(s"τ_s must be at least 1, got $s"))
+    }
+  }
+
+  test("rejects k outside [1, |D|]") {
+    for (k <- Seq(0, -1, 17)) {
+      val e = intercept[IllegalArgumentException](DivergenceExplorer.run(counter, k = k, minSupport = 4))
+      assert(e.getMessage.contains(s"bad range [$k,$k]"))
+    }
+  }
+
   test("empty result when no pattern meets the support threshold") {
     val got = DivergenceExplorer.run(counter, k = 5, minSupport = 17)
     assert(got.isEmpty)
