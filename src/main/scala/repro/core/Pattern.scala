@@ -16,7 +16,7 @@ final case class Pattern(vals: Vector[Int]) {
     * result maps and the searches' hash sets, which would otherwise hash
     * the boxed `vals` on every probe.
     */
-  override val hashCode: Int = scala.util.hashing.MurmurHash3.productHash(this)
+  override val hashCode: Int = scala.util.hashing.MurmurHash3.caseClassHash(this)
 
   /** Same `vals`; compares the cached hashes first, then the values unboxed. */
   override def equals(other: Any): Boolean = other match {

@@ -1,7 +1,9 @@
 package repro.data
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, Encoders, Row, SparkSession}
+import org.apache.spark.sql.catalyst.expressions.GenericRow
+import org.apache.spark.sql.types._
+import org.apache.spark.unsafe.hash.Murmur3_x86_32
 
 /** Synthetic stand-ins for the paper's three real evaluation datasets
   * (COMPAS, Student Performance, German Credit), which we cannot ship.
@@ -56,30 +58,24 @@ object BiasDataGen {
       idCol: String,
   )
 
-  /** Uniform(0,1) derived from the row id and a stream id by Murmur3
-    * hashing — unlike Spark's `rand`, independent of the partition
-    * layout, so generation is deterministic in (n, seed) alone.
+  /** Schema of a generated dataset before ranking: `row_id`, one int
+    * column per attribute, `score`. The score is nullable, the type Spark
+    * SQL gives an expression over `log`, which is null at or below 0.
     */
-  private def unif(stream: Long): Column =
-    (pmod(hash(col("row_id"), lit(stream)).cast("long"), lit(1000003L)) + lit(0.5)) / lit(1000003.0)
-
-  /** Standard normal via Box–Muller over two hash streams. */
-  private def gaussian(stream: Long): Column =
-    sqrt(lit(-2.0) * log(unif(stream))) * cos(lit(2.0 * math.Pi) * unif(stream + 1))
-
-  /** Draw a categorical value for `spec` from uniform randomness `r`. */
-  private def draw(spec: AttrSpec, r: Column): Column =
-    if (spec.probs.isEmpty) least(lit(spec.card - 1), floor(r * spec.card).cast("int"))
-    else {
-      val cdf = spec.probs.scanLeft(0.0)(_ + _).tail
-      cdf.init.zipWithIndex.reverse.foldLeft(lit(spec.card - 1): Column) {
-        case (acc, (c, i)) => when(r < lit(c), lit(i)).otherwise(acc)
-      }
-    }
+  private def schema(specs: Seq[AttrSpec]): StructType =
+    StructType(
+      StructField("row_id", LongType, nullable = false) +:
+        specs.map(s => StructField(s.name, IntegerType, nullable = false)) :+
+        StructField("score", DoubleType, nullable = true))
 
   /** Generate `n` rows with the given attributes, score them, rank them.
     *
     * score = Σ_j weight_j · value_j/(card_j−1) + noise · randn
+    *
+    * Each row is one call of a [[RowDraw]] over `spark.range(n)`: a plain
+    * JVM function is compiled by the JIT, whereas the same draws written
+    * as Catalyst expressions fuse into one generated method too large for
+    * it to compile, which then runs interpreted.
     */
   def generate(
       spark: SparkSession,
@@ -90,30 +86,90 @@ object BiasDataGen {
       seed: Long,
   ): RankedDataset = {
     require(specs.map(_.name).distinct.size == specs.size, "duplicate attribute names")
-    val base = spark.range(n).withColumnRenamed("id", "row_id")
-    val latentZ = gaussian(seed * 1000L + 999983L)
-    val withAttrs = specs.zipWithIndex.foldLeft(base) { case (df, (spec, j)) =>
-      val r =
-        if (spec.latentCorr == 0.0) unif(seed * 1000L + 2L * j)
-        else {
-          // Gaussian copula with the shared latent: the combined z-score
-          // stays standard normal, and the logistic approximation of Φ
-          // maps it back to (0,1) so the declared marginals survive.
-          val rho = spec.latentCorr
-          val z = lit(math.sqrt(1 - rho * rho)) * gaussian(seed * 1000L + 2L * j) +
-            lit(rho) * latentZ
-          lit(1.0) / (lit(1.0) + exp(lit(-1.702) * z))
-        }
-      df.withColumn(spec.name, draw(spec, r))
-    }
-    val score = specs
-      .filter(_.weight != 0.0)
-      .map(s => lit(s.weight) * col(s.name) / lit((s.card - 1).toDouble))
-      .reduceOption(_ + _)
-      .getOrElse(lit(0.0)) + lit(noise) * gaussian(seed * 1000L + 7919L)
-    val scored = withAttrs.withColumn("score", score)
+    val draw = new RowDraw(specs, noise, seed)
+    val scored = spark.range(n).map((id: java.lang.Long) => draw(id))(Encoders.row(schema(specs))).toDF()
     val ranked = Ranker.byScore(scored, "score", "row_id").cache()
     RankedDataset(name, ranked, specs.map(_.name).toIndexedSeq, "rank", "score", "row_id")
+  }
+
+  /** One generated row as a function of its row id.
+    *
+    * Randomness is a Uniform(0,1) derived from the row id and a stream id
+    * by Murmur3 hashing; unlike Spark's `rand`, it does not depend on the
+    * partition layout, so generation is deterministic in (n, seed) alone.
+    * Attribute `j` draws from stream `1000·seed + 2j` (a Gaussian also
+    * reads stream `+ 1`), the shared latent from `1000·seed + 999983` and
+    * the score noise from `1000·seed + 7919`.
+    *
+    * The arithmetic is that of the Spark SQL expressions
+    * `(pmod(hash(row_id, stream), 1000003) + 0.5) / 1000003.0` for a
+    * uniform and `sqrt(-2·log u₁) · cos(2π·u₂)` for a normal, with the
+    * same library calls (`StrictMath` for `log` and `exp`, `Math` for
+    * `sqrt` and `cos`) and the same order of operations, so the data are
+    * bit-identical to an expression-built generator's.
+    */
+  private final class RowDraw(specs: Seq[AttrSpec], noise: Double, seed: Long) extends Serializable {
+    private val m = specs.length
+    private val card = specs.map(_.card).toArray
+    private val stream = Array.tabulate(m)(j => seed * 1000L + 2L * j)
+    private val rho = specs.map(_.latentCorr).toArray
+    private val rhoC = rho.map(r => math.sqrt(1 - r * r))
+    /** Cumulative probabilities below the last category; empty for a uniform attribute. */
+    private val cdf = specs.map(s =>
+      if (s.probs.isEmpty) Array.emptyDoubleArray else s.probs.scanLeft(0.0)(_ + _).tail.init.toArray).toArray
+    private val scoring = specs.indices.filter(specs(_).weight != 0.0).toArray
+    private val weight = specs.map(_.weight).toArray
+    private val latentStream = seed * 1000L + 999983L
+    private val noiseStream = seed * 1000L + 7919L
+
+    private def unif(rowId: Long, stream: Long): Double = {
+      val h = Murmur3_x86_32.hashLong(stream, Murmur3_x86_32.hashLong(rowId, 42))
+      (java.lang.Math.floorMod(h.toLong, 1000003L) + 0.5) / 1000003.0
+    }
+
+    private def gaussian(rowId: Long, stream: Long): Double =
+      java.lang.Math.sqrt(-2.0 * java.lang.StrictMath.log(unif(rowId, stream))) *
+        java.lang.Math.cos(2.0 * math.Pi * unif(rowId, stream + 1))
+
+    def apply(rowId: Long): Row = {
+      val out = new Array[Any](m + 2)
+      out(0) = rowId
+      val latentZ = gaussian(rowId, latentStream)
+      val value = new Array[Int](m)
+      var j = 0
+      while (j < m) {
+        val r =
+          if (rho(j) == 0.0) unif(rowId, stream(j))
+          else {
+            // Gaussian copula with the shared latent: the combined z-score
+            // stays standard normal, and the logistic approximation of Φ
+            // maps it back to (0,1) so the declared marginals survive.
+            val z = rhoC(j) * gaussian(rowId, stream(j)) + rho(j) * latentZ
+            1.0 / (1.0 + java.lang.StrictMath.exp(-1.702 * z))
+          }
+        val c = cdf(j)
+        value(j) =
+          if (c.isEmpty) math.min(card(j) - 1, math.floor(r * card(j)).toInt)
+          else {
+            var i = 0
+            while (i < c.length && !(r < c(i))) i += 1
+            i
+          }
+        out(j + 1) = value(j)
+        j += 1
+      }
+      // summed left to right, one term per scoring attribute
+      var score = 0.0
+      var t = 0
+      while (t < scoring.length) {
+        val a = scoring(t)
+        val term = weight(a) * value(a) / (card(a) - 1).toDouble
+        score = if (t == 0) term else score + term
+        t += 1
+      }
+      out(m + 1) = score + noise * gaussian(rowId, noiseStream)
+      new GenericRow(out)
+    }
   }
 
   /** COMPAS-like: 6,889 rows, 16 attributes; the first seven are the
@@ -121,7 +177,10 @@ object BiasDataGen {
     * convictions, days-before-screening-arrest, start, end, age,
     * priors), with age contributing negatively as in the paper.
     */
-  def compasLike(spark: SparkSession, nAttrs: Int = 16, n: Long = 6889, seed: Long = 42): RankedDataset = {
+  def compasLike(spark: SparkSession, nAttrs: Int = 16, n: Long = 6889, seed: Long = 42): RankedDataset =
+    generate(spark, "compas", n, compasSpecs(nAttrs), noise = 0.10, seed = seed)
+
+  private[data] def compasSpecs(nAttrs: Int): Seq[AttrSpec] = {
     // The shared latent plays the role of "criminal history": priors and
     // the end-date load on it positively, age negatively (younger
     // defendants have more recent records) — reproducing the real
@@ -137,8 +196,7 @@ object BiasDataGen {
     )
     val fillerCards = Seq(2, 3, 2, 4, 2, 3, 3, 2, 4)
     val filler = fillerCards.zipWithIndex.map { case (c, i) => AttrSpec(s"attr_${i + 8}", c) }
-    val specs = (scoring ++ filler).take(nAttrs)
-    generate(spark, "compas", n, specs, noise = 0.10, seed = seed)
+    (scoring ++ filler).take(nAttrs)
   }
 
   /** Student-like: 395 rows, 33 attributes. The first four (school, sex,
@@ -148,7 +206,10 @@ object BiasDataGen {
     * grades G1/G2 and a mother's-education effect, as in the paper's
     * Shapley analysis.
     */
-  def studentLike(spark: SparkSession, nAttrs: Int = 33, n: Long = 395, seed: Long = 7): RankedDataset = {
+  def studentLike(spark: SparkSession, nAttrs: Int = 33, n: Long = 395, seed: Long = 7): RankedDataset =
+    generate(spark, "student", n, studentSpecs(nAttrs), noise = 0.15, seed = seed)
+
+  private[data] def studentSpecs(nAttrs: Int): Seq[AttrSpec] = {
     val head = Seq(
       AttrSpec("school", 2, probs = Seq(0.89, 0.11)),                  // GP, MS (MS < τ_s=50)
       AttrSpec("sex", 2, weight = 0.08, probs = Seq(0.473, 0.527)),    // F, M
@@ -169,8 +230,7 @@ object BiasDataGen {
     val filler = fillerCards.take(24).zipWithIndex.map { case (c, i) => AttrSpec(s"attr_${i + 10}", c) }.toSeq
     // grades precede the filler so truncated schemas keep the attributes
     // that actually drive the ranking
-    val specs = (head ++ grades ++ filler).take(nAttrs)
-    generate(spark, "student", n, specs, noise = 0.15, seed = seed)
+    (head ++ grades ++ filler).take(nAttrs)
   }
 
   /** German-Credit-like: 1,000 rows, 20 attributes; account status,
@@ -178,7 +238,10 @@ object BiasDataGen {
     * creditworthiness score (the attributes the paper's Shapley analysis
     * surfaces).
     */
-  def germanLike(spark: SparkSession, nAttrs: Int = 20, n: Long = 1000, seed: Long = 11): RankedDataset = {
+  def germanLike(spark: SparkSession, nAttrs: Int = 20, n: Long = 1000, seed: Long = 11): RankedDataset =
+    generate(spark, "german", n, germanSpecs(nAttrs), noise = 0.10, seed = seed)
+
+  private[data] def germanSpecs(nAttrs: Int): Seq[AttrSpec] = {
     // shared latent = overall financial standing
     val scoring = Seq(
       AttrSpec("status_account", 4, weight = 0.50, probs = Seq(0.27, 0.27, 0.06, 0.40), latentCorr = 0.4),
@@ -188,8 +251,7 @@ object BiasDataGen {
     )
     val fillerCards = Seq(3, 2, 4, 2, 3, 2, 4, 3, 2, 3, 2, 4, 2, 3, 2, 3)
     val filler = fillerCards.zipWithIndex.map { case (c, i) => AttrSpec(s"attr_${i + 5}", c) }
-    val specs = (scoring ++ filler).take(nAttrs)
-    generate(spark, "german", n, specs, noise = 0.10, seed = seed)
+    (scoring ++ filler).take(nAttrs)
   }
 
   /** COMPAS-like dataset with `n` rows (all 16 attributes). */

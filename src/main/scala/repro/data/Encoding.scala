@@ -58,13 +58,25 @@ object Encoding {
     (enc, dicts.map(_.size), dicts)
   }
 
-  /** Build the driver-side bitset index from a ranked DataFrame. */
+  /** Build the driver-side bitset index from a ranked DataFrame.
+    *
+    * The encoded rows are collected in any order and each is placed at
+    * its rank, so no sort runs. The ranks must be exactly 1..|D|: a null,
+    * out-of-range or repeated rank is rejected.
+    */
   def index(df: DataFrame, attrCols: Seq[String], rankCol: String): DatasetIndex = {
     val (enc, domainSizes, dicts) = encode(df, attrCols, rankCol)
-    val rows = enc
-      .orderBy(col(rankCol))
-      .collect()
-      .map(r => Array.tabulate(attrCols.length)(i => r.getInt(i)))
+    val collected = enc.collect()
+    val w = attrCols.length
+    val rows = new Array[Array[Int]](collected.length)
+    for (r <- collected) {
+      require(!r.isNullAt(w), s"rank column $rankCol holds a null")
+      val rank = r.getInt(w)
+      require(rank >= 1 && rank <= rows.length,
+        s"rank column $rankCol holds $rank, outside [1, ${rows.length}]")
+      require(rows(rank - 1) == null, s"rank column $rankCol holds $rank twice")
+      rows(rank - 1) = Array.tabulate(w)(r.getInt)
+    }
     new DatasetIndex(rows, domainSizes, attrCols.toIndexedSeq, dicts)
   }
 }

@@ -58,11 +58,11 @@ class CounterSpec extends SparkSpec {
       val batches = KernelBatches.batches(rix.domainSizes, rnd)
       val ranks = KernelBatches.matchingRanks(rix, batches.head._2)
       for (k <- KernelBatches.ks(n); (name, batch) <- batches) {
-        val given = KernelBatches.mixedSizes(batch.size, rnd)
-        val sD = given.clone()
+        val preset = KernelBatches.mixedSizes(batch.size, rnd)
+        val sD = preset.clone()
         val topK = new Array[Int](batch.size)
         counter.countInto(batch, k, sD, topK)
-        val wrong = KernelBatches.wrongSlots(ranks, batch, k, given, sD, topK)
+        val wrong = KernelBatches.wrongSlots(ranks, batch, k, preset, sD, topK)
         assert(wrong.isEmpty, s"n=$n k=$k batch=$name: ${wrong.take(5).map(batch)}")
       }
     }
@@ -75,12 +75,12 @@ class CounterSpec extends SparkSpec {
     val batches = KernelBatches.batches(rix.domainSizes, rnd)
     val ranks = KernelBatches.matchingRanks(rix, batches.head._2)
     for ((name, batch) <- batches; k <- KernelBatches.ks(rix.size)) {
-      val given = KernelBatches.mixedSizes(batch.size, rnd)
-      assert(given.count(_ < 0) * KernelBatches.words(rix) >= DatasetIndex.ParallelWork, name)
-      val sD = given.clone()
+      val preset = KernelBatches.mixedSizes(batch.size, rnd)
+      assert(preset.count(_ < 0) * KernelBatches.words(rix) >= DatasetIndex.ParallelWork, name)
+      val sD = preset.clone()
       val topK = new Array[Int](batch.size)
       counter.countInto(batch, k, sD, topK)
-      val wrong = KernelBatches.wrongSlots(ranks, batch, k, given, sD, topK)
+      val wrong = KernelBatches.wrongSlots(ranks, batch, k, preset, sD, topK)
       assert(wrong.isEmpty, s"k=$k batch=$name: ${wrong.take(5).map(batch)}")
     }
   }
@@ -92,12 +92,12 @@ class CounterSpec extends SparkSpec {
     val ranks = KernelBatches.matchingRanks(rix, batches.head._2)
     for (k <- KernelBatches.ks(rix.size); (name, batch) <- batches) {
       val log = new BatchLogCounter(new LocalPatternCounter(rix)) // overrides countBatch only
-      val given = KernelBatches.mixedSizes(batch.size, rnd)
-      val sD = given.clone()
+      val preset = KernelBatches.mixedSizes(batch.size, rnd)
+      val sD = preset.clone()
       val topK = new Array[Int](batch.size)
       log.countInto(batch, k, sD, topK)
       assert(log.sizes == Seq(batch.size), s"k=$k batch=$name")
-      val wrong = KernelBatches.wrongSlots(ranks, batch, k, given, sD, topK)
+      val wrong = KernelBatches.wrongSlots(ranks, batch, k, preset, sD, topK)
       assert(wrong.isEmpty, s"k=$k batch=$name: ${wrong.take(5).map(batch)}")
     }
   }

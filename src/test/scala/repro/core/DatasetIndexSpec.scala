@@ -112,11 +112,11 @@ class DatasetIndexSpec extends AnyFunSuite {
       val batches = KernelBatches.batches(rix.domainSizes, rnd)
       val ranks = KernelBatches.matchingRanks(rix, batches.head._2)
       for (k <- KernelBatches.ks(n); (name, batch) <- batches) {
-        val given = KernelBatches.mixedSizes(batch.size, rnd)
-        val sD = given.clone()
+        val preset = KernelBatches.mixedSizes(batch.size, rnd)
+        val sD = preset.clone()
         val topK = new Array[Int](batch.size)
         rix.countInto(batch, k, sD, topK)
-        val wrong = KernelBatches.wrongSlots(ranks, batch, k, given, sD, topK)
+        val wrong = KernelBatches.wrongSlots(ranks, batch, k, preset, sD, topK)
         assert(wrong.isEmpty, s"n=$n k=$k batch=$name: ${wrong.take(5).map(batch)}")
       }
     }
@@ -129,13 +129,13 @@ class DatasetIndexSpec extends AnyFunSuite {
     val batches = KernelBatches.batches(large.domainSizes, rnd)
     val ranks = KernelBatches.matchingRanks(large, batches.head._2)
     for ((name, batch) <- batches; k <- KernelBatches.ks(large.size)) {
-      val given = KernelBatches.mixedSizes(batch.size, rnd)
-      val unknown = given.count(_ < 0)
+      val preset = KernelBatches.mixedSizes(batch.size, rnd)
+      val unknown = preset.count(_ < 0)
       assert(unknown * KernelBatches.words(large) >= DatasetIndex.ParallelWork, name)
-      val sD = given.clone()
+      val sD = preset.clone()
       val topK = new Array[Int](batch.size)
       large.countInto(batch, k, sD, topK)
-      val wrong = KernelBatches.wrongSlots(ranks, batch, k, given, sD, topK)
+      val wrong = KernelBatches.wrongSlots(ranks, batch, k, preset, sD, topK)
       assert(wrong.isEmpty, s"k=$k batch=$name: ${wrong.take(5).map(batch)}")
     }
   }

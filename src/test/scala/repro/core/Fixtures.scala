@@ -171,7 +171,7 @@ object KernelBatches {
     sD
   }
 
-  /** Slots of a [[mixedSizes]] `given` whose results from
+  /** Slots of a [[mixedSizes]] `preset` whose results from
     * [[PatternCounter.countInto]] are wrong: a known s_D not left as it
     * was, an unknown one not equal to the naive count, or a top-k count
     * not equal to the naive one.
@@ -180,12 +180,12 @@ object KernelBatches {
       ranks: Map[Pattern, Array[Int]],
       batch: IndexedSeq[Pattern],
       k: Int,
-      given: Array[Int],
+      preset: Array[Int],
       sD: Array[Int],
       topK: Array[Int],
   ): Seq[Int] = batch.indices.filter { i =>
     val (d, t) = naive(ranks, batch(i), k)
-    topK(i) != t || sD(i) != (if (given(i) >= 0) given(i) else d)
+    topK(i) != t || sD(i) != (if (preset(i) >= 0) preset(i) else d)
   }
 }
 

@@ -139,4 +139,17 @@ class PatternSpec extends AnyFunSuite {
     assert(pairs.exists { case (a, b) => a == b } && pairs.exists { case (a, b) => a != b })
     assert(pairs.exists { case (a, b) => a.width != b.width && a.vals.take(b.width) == b.vals.take(a.width) })
   }
+
+  test("hashCode is pinned: hash-ordered iteration over patterns does not change") {
+    // Scala 2.13's case-class hash of each pattern; hash sets and maps of
+    // patterns iterate in the order these values fix
+    val pinned = Seq(
+      Pattern.root(4) -> 2049942154,
+      Pattern.of(4, 1 -> 0, 3 -> 2) -> -608638907,
+      Pattern.of(16, 0 -> 2, 6 -> 3, 15 -> 1) -> 245067606,
+      Pattern(Vector(0)) -> 279603911,
+      Pattern(Vector.empty) -> 1373901184,
+    )
+    for ((p, h) <- pinned) assert(p.hashCode == h, s"$p")
+  }
 }

@@ -107,4 +107,47 @@ class BiasDataGenSpec extends SparkSpec {
     assert(math.abs(counts(1) / 4000.0 - 0.2) < 0.05)
     assert(math.abs(counts(2) / 4000.0 - 0.1) < 0.05)
   }
+
+  /** Asserts that `got` equals the expression-built oracle's output: the
+    * schema, and every column of every row, the doubles bit for bit.
+    */
+  private def assertSameAsOracle(got: BiasDataGen.RankedDataset, want: BiasDataGen.RankedDataset): Unit =
+    try {
+      assert(got.df.schema == want.df.schema)
+      assert((got.attrCols, got.rankCol, got.scoreCol, got.idCol) == (want.attrCols, want.rankCol, want.scoreCol, want.idCol))
+      def rows(ds: BiasDataGen.RankedDataset) = ds.df.orderBy(ds.idCol).collect().toSeq.map(_.toSeq.map {
+        case d: Double => java.lang.Double.doubleToRawLongBits(d)
+        case v => v
+      })
+      val (g, w) = (rows(got), rows(want))
+      assert(g.size == w.size)
+      val firstDiff = g.indices.find(i => g(i) != w(i))
+      assert(firstDiff.isEmpty, firstDiff.map(i => s"row_id $i: ${g(i)} vs ${w(i)}").getOrElse(""))
+    } finally {
+      got.df.unpersist()
+      want.df.unpersist()
+    }
+
+  test("compas-, student- and german-like data equal the expression-built generator's, at three seeds each") {
+    for (seed <- Seq(42L, 1L, 7L))
+      assertSameAsOracle(BiasDataGen.compasLike(spark, seed = seed),
+        GeneratorOracle.generate(spark, "compas", 6889, BiasDataGen.compasSpecs(16), 0.10, seed))
+    for (seed <- Seq(7L, 1L, 2L))
+      assertSameAsOracle(BiasDataGen.studentLike(spark, seed = seed),
+        GeneratorOracle.generate(spark, "student", 395, BiasDataGen.studentSpecs(33), 0.15, seed))
+    for (seed <- Seq(11L, 3L, 5L))
+      assertSameAsOracle(BiasDataGen.germanLike(spark, seed = seed),
+        GeneratorOracle.generate(spark, "german", 1000, BiasDataGen.germanSpecs(20), 0.10, seed))
+  }
+
+  test("scaled compas data equal the expression-built generator's at a row count no partition count divides") {
+    assertSameAsOracle(BiasDataGen.compasScaled(spark, 10007),
+      GeneratorOracle.generate(spark, "compas", 10007, BiasDataGen.compasSpecs(16), 0.10, 42))
+  }
+
+  test("a dataset without scoring attributes equals the expression-built generator's") {
+    val specs = Seq(BiasDataGen.AttrSpec("a", 3, latentCorr = -0.4), BiasDataGen.AttrSpec("b", 2))
+    assertSameAsOracle(BiasDataGen.generate(spark, "flat", 500, specs, 0.2, 9),
+      GeneratorOracle.generate(spark, "flat", 500, specs, 0.2, 9))
+  }
 }

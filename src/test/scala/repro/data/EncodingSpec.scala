@@ -117,4 +117,35 @@ class EncodingSpec extends SparkSpec {
     assert(BruteForce.run(ix, global, 1, 1, 16) == none && BruteForce.run(ix, prop, 1, 1, 16) == none)
     assert(DivergenceExplorer.run(c, k = 5, minSupport = 1).isEmpty)
   }
+
+  test("rows are placed by rank, whatever the partitioning and order of the input") {
+    val german = BiasDataGen.germanLike(spark, nAttrs = 6)
+    for ((df, cols) <- Seq(rankedDf -> attrs, german.df -> german.attrCols)) {
+      val (enc, _, _) = Encoding.encode(df, cols, "rank")
+      val sorted = enc.orderBy("rank").collect().map(r => Array.tabulate(cols.size)(r.getInt)).toSeq
+      val inputs = Seq(
+        df,
+        df.repartition(7),
+        df.orderBy(col("rank").desc),
+        df.repartition(5).sortWithinPartitions(rand(3)),
+      )
+      for ((in, i) <- inputs.zipWithIndex) {
+        val ix = Encoding.index(in, cols, "rank")
+        assert(ix.rows.map(_.toSeq).toSeq == sorted.map(_.toSeq), s"input $i")
+      }
+    }
+    german.df.unpersist()
+  }
+
+  test("a rank gap, a repeated rank or a null rank is rejected, naming the rank column") {
+    import spark.implicits._
+    def ranked(pos: Option[Int]*) = pos.zipWithIndex.map { case (p, i) => (s"v$i", p) }.toDF("x", "pos")
+    for (bad <- Seq(ranked(Some(1), Some(2), Some(4)), ranked(Some(1), Some(2), Some(2)),
+                    ranked(Some(0), Some(1), Some(2)), ranked(Some(1), None, Some(2)))) {
+      val e = intercept[IllegalArgumentException](Encoding.index(bad, Seq("x"), "pos"))
+      assert(e.getMessage.contains("pos"), e.getMessage)
+    }
+    assert(Encoding.index(ranked(Some(3), Some(1), Some(2)), Seq("x"), "pos").rows.map(_.toSeq).toSeq ==
+      Seq(Seq(1), Seq(2), Seq(0)))
+  }
 }
