@@ -10,6 +10,17 @@ object BenchConfig {
     * while still exposing the baseline's blow-up.
     */
   val timeoutMs: Long = sys.env.getOrElse("REPRO_BENCH_TIMEOUT_MS", "15000").toLong
+
+  /** At every sweep point where ITERTD and the optimized algorithm both
+    * completed, both found the same number of groups at every k.
+    */
+  def assertSameResSizes(rows: Seq[Experiments.TimingRow]): Unit =
+    for (((ds, prob, pt), rs) <- rows.groupBy(r => (r.dataset, r.problem, r.param))) {
+      val done = rs.filter(!_.timedOut)
+      for (b <- done.find(_.algo == "IterTD"); o <- done.find(_.algo != "IterTD"))
+        assert(o.resCells == b.resCells,
+          s"$ds/$prob at ${b.paramName}=$pt: ${o.algo} and IterTD disagree on |Res[k]|")
+    }
 }
 
 /** T1 — Figures 4–5: runtime vs number of attributes, all three
@@ -21,6 +32,7 @@ class T1AttributesBench extends SparkSpec {
     val rows = Experiments.t1Attributes(spark, BenchConfig.timeoutMs)
     println(Experiments.renderTimings("T1 / Figures 4-5: runtime vs #attributes", rows))
     println(Experiments.renderUnder100(rows))
+    BenchConfig.assertSameResSizes(rows)
 
     // Shape check (paper: optimized algorithms outperform ITERTD): at the
     // largest point where both completed, the optimized algorithm's time
@@ -54,6 +66,7 @@ class T2ThresholdBench extends SparkSpec {
   test("T2: runtime vs size threshold (Figures 6-7)") {
     val rows = Experiments.t2Threshold(spark, BenchConfig.timeoutMs)
     println(Experiments.renderTimings("T2 / Figures 6-7: runtime vs size threshold", rows))
+    BenchConfig.assertSameResSizes(rows)
 
     // Shape: runtime decreases (weakly, modulo noise floor) as τ_s grows.
     for (((ds, prob, algo), rs) <- rows.groupBy(r => (r.dataset, r.problem, r.algo))) {
@@ -74,6 +87,7 @@ class T3KRangeBench extends SparkSpec {
     println(Experiments.renderTimings("T3 / Figures 8-9: runtime vs k range", rows))
     val gains = Experiments.examinedGains(rows)
     println(Experiments.renderGains(gains))
+    BenchConfig.assertSameResSizes(rows)
 
     assert(gains.nonEmpty, "no configuration completed for both algorithms")
     for (g <- gains)

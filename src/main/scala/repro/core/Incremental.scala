@@ -51,22 +51,23 @@ object PropBounds {
   *  2. the nodes scheduled for k (the paper's `K`) are verified against
   *     their live counts: each turns biased, or is rescheduled at the next
   *     k its grown count allows;
-  *  3. the nodes that left or entered the biased set are handed to
-  *     [[MostGeneral]], which keeps `Res[k]` current from that delta.
+  *  3. the nodes whose biased flag changed and those the searches created
+  *     re-decide, level by level, whether they are clean and in `Res[k]`
+  *     ([[TopDownSearch.Node.clean]]); a node whose clean flag flipped
+  *     has its lattice children re-decided on the next level.
   *
   * A node that turns biased keeps its tracked subtree, so a later
   * recovery needs no new search. Both facts need thresholds that do not
   * fall as k grows; where a global `L_k` does fall ([[BiasBound.fallsAt]])
-  * the engine searches afresh from the root. `examined` counts the
-  * patterns the searches counted; the walk's count bumps read one row and
-  * count nothing.
+  * the engine searches afresh from a new tree. `examined` counts the
+  * patterns the searches counted; the walk's count bumps count nothing.
   *
   * Invariant: every tracked node that is not biased has been expanded, so
-  * every most general biased pattern is tracked, and the most general
-  * biased nodes are exactly `Res[k]` (Propositions 4.5 / 4.8, checked in
-  * tests against ITERTD and the brute-force spec). The budget is checked
-  * at the top of every k, as well as before each search wave, so a
-  * timed-out run covers exactly the k it completed.
+  * every pattern with no biased sub-pattern is tracked, and the nodes in
+  * `Res` are exactly `Res[k]` (Propositions 4.5 / 4.8, checked in tests
+  * against ITERTD and the brute-force spec). The budget is checked at the
+  * top of every k, as well as before each search wave, so a timed-out run
+  * covers exactly the k it completed.
   */
 private[core] object Incremental {
   import TopDownSearch.Node
@@ -81,18 +82,19 @@ private[core] object Incremental {
   ): DetectionResult = {
     TopDownSearch.requireValid(counter, tauS, kMin, kMax)
     val width = counter.width
-    val tree = new TopDownSearch.Tree(counter, bound, tauS)
-    val offset = tree.offset
 
     var res = SortedMap.empty[Int, Set[Pattern]]
     var examined = 0L
     var timedOut = false
 
-    var root: Node = null
-    var biasedSet: MostGeneral = null
+    var tree: TopDownSearch.Tree = null
+    // Res[k], changed only by inRes flips: an unchanged k shares the set.
+    var mostGeneral = Set.empty[Pattern]
     // The paper's K: due(k - kMin) holds the unbiased nodes scheduled to
     // turn biased at k; entries are verified when k is reached.
     var due: Array[mutable.ArrayBuffer[Node]] = null
+    val touched = mutable.ArrayBuffer.empty[Node]
+    val recovered = mutable.ArrayBuffer.empty[Node]
 
     def schedule(n: Node, k: Int): Unit = {
       val next = bound.nextBiasedK(n.cnt, n.sD, k + 1, kMax)
@@ -104,71 +106,87 @@ private[core] object Incremental {
     }
 
     /** Algorithm 1 at k below the never-expanded `parents`: schedules the
-      * nodes it opens and collects the biased ones into `entered`.
+      * nodes it opens and adds every node it reaches to `touched`.
       */
-    def search(parents: Iterable[Node], k: Int, entered: mutable.ArrayBuffer[Pattern]): Unit = {
+    def search(parents: Iterable[Node], k: Int): Unit = {
       val found = tree.search(parents, k, budget)
       found.opened.foreach(schedule(_, k))
-      found.biased.foreach(entered += _.p)
+      touched ++= found.opened ++= found.biased
       examined += found.examined
       timedOut ||= found.timedOut
     }
 
     /** Bumps the count of every node below `n` that `row` satisfies;
-      * collects the biased ones that recover into `left`, and those of
+      * collects the biased ones that recover into `touched`, and those of
       * them never expanded into `recovered`.
       */
-    def walk(
-        n: Node,
-        row: Array[Int],
-        k: Int,
-        left: mutable.ArrayBuffer[Pattern],
-        recovered: mutable.ArrayBuffer[Node],
-    ): Unit = {
-      val base = offset(n.maxIdx + 1)
+    def walk(n: Node, row: Array[Int], k: Int): Unit = {
+      val base = tree.offset(n.maxIdx + 1)
       var a = n.maxIdx + 1
       while (a < width) {
-        val c = n.children(offset(a) - base + row(a))
+        val c = n.children(tree.offset(a) - base + row(a))
         if (c ne null) {
           c.cnt += 1
           if (c.biased && !bound.biased(c.cnt, c.sD, k)) {
             c.biased = false
-            left += c.p
+            touched += c
             schedule(c, k)
             if (c.children eq null) recovered += c
           }
-          if (c.children ne null) walk(c, row, k, left, recovered)
+          if (c.children ne null) walk(c, row, k)
         }
         a += 1
       }
     }
 
+    /** Re-decides `clean` and `inRes` of the `touched` nodes level by
+      * level, after all their parents; a node whose `clean` flips adds the
+      * lattice children it can change to the next level: when it turns
+      * clean, those reached through clean nodes, else those clean or in `Res`.
+      */
+    def settle(): Unit = {
+      val levels = Array.fill(width + 1)(mutable.ArrayBuffer.empty[Node])
+      touched.foreach(n => levels(n.p.level) += n)
+      for (l <- 1 to width; n <- levels(l)) {
+        val parentsClean = tree.parentsClean(n)
+        if (n.inRes != (n.biased && parentsClean)) {
+          n.inRes = !n.inRes
+          mostGeneral = if (n.inRes) mostGeneral + n.p else mostGeneral - n.p
+        }
+        if (n.clean != (!n.biased && parentsClean)) {
+          n.clean = !n.clean
+          tree.foreachLatticeChild(n, throughClean = n.clean) { c =>
+            if (n.clean || c.clean || c.inRes) levels(l + 1) += c
+          }
+        }
+      }
+    }
+
     var k = kMin
     while (k <= kMax && !timedOut) {
-      val left = mutable.ArrayBuffer.empty[Pattern]
-      val entered = mutable.ArrayBuffer.empty[Pattern]
+      touched.clear()
+      recovered.clear()
       if (budget.expired) timedOut = true
       else if (k == kMin || bound.fallsAt(k)) {
-        root = tree.root()
-        biasedSet = new MostGeneral
+        tree = new TopDownSearch.Tree(counter, bound, tauS)
+        mostGeneral = Set.empty
         due = new Array(kMax - kMin + 1)
-        search(Seq(root), k, entered)
+        search(Seq(tree.root), k)
       } else {
-        val recovered = mutable.ArrayBuffer.empty[Node]
-        walk(root, counter.rankedRow(k), k, left, recovered)
-        search(recovered, k, entered)
+        walk(tree.root, counter.rankedRow(k), k)
+        search(recovered, k)
         val bucket = due(k - kMin)
         due(k - kMin) = null
         if (bucket ne null) for (n <- bucket) {
           if (bound.biased(n.cnt, n.sD, k)) {
             n.biased = true
-            entered += n.p
+            touched += n
           } else schedule(n, k)
         }
       }
       if (!timedOut) {
-        biasedSet.update(left, entered)
-        res += k -> biasedSet.res
+        settle()
+        res += k -> mostGeneral
       }
       k += 1
     }

@@ -28,8 +28,9 @@ final case class DetectionResult(
   * depend on k, is carried across the k of one run: the run keeps one
   * [[TopDownSearch.Tree]], whose expanded nodes hold their children's s_D
   * ([[TopDownSearch.Node.childSD]]), so a pattern's s_D is counted at
-  * most once per run and each later visit counts only its top-k. Nothing
-  * is kept between runs.
+  * most once per run and each later visit counts only its top-k. Each k's
+  * `Res` is decided on the nodes its search reached
+  * ([[TopDownSearch.snapshot]]). Nothing is kept between runs.
   */
 object IterTD {
 
@@ -43,13 +44,12 @@ object IterTD {
   ): DetectionResult = {
     TopDownSearch.requireValid(counter, tauS, kMin, kMax)
     val tree = new TopDownSearch.Tree(counter, bound, tauS)
-    val root = tree.root()
     var res = SortedMap.empty[Int, Set[Pattern]]
     var examined = 0L
     var k = kMin
     var timedOut = false
     while (k <= kMax && !timedOut) {
-      val snap = TopDownSearch.snapshot(tree.search(Seq(root), k, budget))
+      val snap = TopDownSearch.snapshot(tree, tree.search(Seq(tree.root), k, budget))
       examined += snap.examined
       timedOut = snap.timedOut
       if (!timedOut) res += k -> snap.res.toSet

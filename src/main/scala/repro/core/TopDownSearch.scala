@@ -19,6 +19,8 @@ import scala.collection.immutable.ArraySeq
   * dataset size is below `τ_s` (size is anti-monotone, so the whole
   * subtree is too small), reported-and-cut when its top-k count is below
   * the bound (descendants cannot be most general), and opened otherwise.
+  * `Res[k]` (Props. 4.5 / 4.8) is decided on the tree: a biased node is
+  * most general iff all its immediate parents are clean ([[Node.clean]]).
   */
 object TopDownSearch {
 
@@ -26,8 +28,15 @@ object TopDownSearch {
     * count at the last k that counted it (kept live by the incremental
     * engine), whether it is biased, and, once expanded, its children.
     */
-  private[repro] final class Node(val p: Pattern, val sD: Long, var cnt: Long) {
+  private[repro] final class Node(val p: Pattern, val sD: Long, var cnt: Long, parent: Node) {
     val maxIdx: Int = p.maxIdx
+
+    /** `p`'s constrained attributes, ascending, and their values, unboxed
+      * for the tree's lookups: the search-tree parent's plus `maxIdx`.
+      */
+    val attrs: Array[Int] = if (parent eq null) Array.emptyIntArray else parent.attrs :+ maxIdx
+    val vals: Array[Int] = if (parent eq null) Array.emptyIntArray else parent.vals :+ p.vals(maxIdx)
+
     var biased: Boolean = false
 
     /** The children's patterns. This array and the two below are null
@@ -47,6 +56,13 @@ object TopDownSearch {
       * counted.
       */
     var children: Array[Node] = _
+
+    /** Not biased, and every immediate parent (one constraint dropped) a
+      * clean node, the root being clean: no sub-pattern is biased. Live in
+      * the incremental engine; set only within one [[snapshot]] otherwise.
+      */
+    var clean: Boolean = maxIdx < 0
+    var inRes: Boolean = false // biased, every immediate parent clean; incremental engine only
   }
 
   /** One search's findings, both in visit order: the biased nodes, whose
@@ -67,8 +83,66 @@ object TopDownSearch {
     /** `offset(a)`: number of (attribute, value) pairs on attributes below `a`. */
     val offset: Array[Int] = domainSizes.scanLeft(0)(_ + _).toArray
 
-    /** A fresh root; it is never counted and never biased. */
-    def root(): Node = new Node(Pattern.root(width), counter.datasetSize, 0L)
+    /** The root; it is never counted, never biased and always clean. */
+    val root: Node = new Node(Pattern.root(width), counter.datasetSize, 0L, null)
+
+    /** `n`'s child with attribute `a` set to `v`, or null. */
+    private def child(n: Node, a: Int, v: Int): Node =
+      if (n.children eq null) null else n.children(offset(a) - offset(n.maxIdx + 1) + v)
+
+    /** The node `from` leads to along `n`'s constraints from the `i`-th on:
+      * null where the tree has none or, with `throughClean`, an unclean node.
+      */
+    private def follow(from: Node, n: Node, i: Int, throughClean: Boolean): Node = {
+      var q = from
+      var j = i
+      while (j < n.attrs.length && (q ne null)) {
+        if (throughClean && !q.clean) return null
+        q = child(q, n.attrs(j), n.vals(j))
+        j += 1
+      }
+      q
+    }
+
+    /** Whether every immediate parent of `n` is a clean node, each found by
+      * a walk from the root that skips one constraint: O(level²) steps.
+      */
+    def parentsClean(n: Node): Boolean = {
+      var prefix = root
+      var i = 0
+      while (i < n.attrs.length) {
+        val q = follow(prefix, n, i + 1, throughClean = false)
+        if ((q eq null) || !q.clean) return false
+        prefix = child(prefix, n.attrs(i), n.vals(i))
+        i += 1
+      }
+      true
+    }
+
+    /** Calls `f` on every node with `n`'s constraints and one more, found
+      * by walks like [[parentsClean]]'s. With `throughClean`, skips one
+      * whose walk meets an unclean node holding the added constraint: a
+      * sub-pattern, so it can be neither clean nor most general.
+      */
+    def foreachLatticeChild(n: Node, throughClean: Boolean)(f: Node => Unit): Unit = {
+      var prefix = root
+      var i = 0
+      var a = 0
+      while (a < width) {
+        if (i < n.attrs.length && n.attrs(i) == a) {
+          prefix = child(prefix, a, n.vals(i))
+          i += 1
+        } else {
+          var v = 0
+          while (v < domainSizes(a)) {
+            val q = follow(child(prefix, a, v), n, i, throughClean)
+            if (q ne null) f(q)
+            v += 1
+          }
+        }
+        a += 1
+      }
+    }
 
     private def expand(n: Node): Unit = if (n.children eq null) {
       n.childPatterns = n.p.searchTreeChildren(domainSizes).toArray
@@ -123,7 +197,7 @@ object TopDownSearch {
                 val cnt = topK(i)
                 var n = parent.children(slot)
                 if (n eq null) {
-                  n = new Node(patterns(i), d, cnt)
+                  n = new Node(patterns(i), d, cnt, parent)
                   parent.children(slot) = n
                 } else n.cnt = cnt
                 n.biased = bound.biased(cnt, d, k)
@@ -144,17 +218,8 @@ object TopDownSearch {
     }
   }
 
-  /** Result of one single-k top-down search: `res` is the set of most
-    * general biased patterns, `dres` the biased patterns reached during
-    * the search that are subsumed by a member of `res` (the paper's
-    * `DRes`), both in visit order.
-    */
-  final case class Snapshot(
-      res: Vector[Pattern],
-      dres: Vector[Pattern],
-      examined: Long,
-      timedOut: Boolean,
-  )
+  /** One single-k top-down search: `res` holds the most general biased patterns in visit order. */
+  final case class Snapshot(res: Vector[Pattern], examined: Long, timedOut: Boolean)
 
   /** Algorithm 1 for a single k, starting from the root's children of a
     * fresh tree.
@@ -171,16 +236,18 @@ object TopDownSearch {
   ): Snapshot = {
     requireValid(counter, tauS, k, k)
     val tree = new Tree(counter, bound, tauS)
-    snapshot(tree.search(Seq(tree.root()), k, budget))
+    snapshot(tree, tree.search(Seq(tree.root), k, budget))
   }
 
-  /** Splits a search from the root into `Res` and `DRes`. */
-  private[core] def snapshot(found: Found): Snapshot = {
-    val biased = found.biased.map(_.p)
-    val mostGeneral = new MostGeneral
-    mostGeneral.update(Nil, biased)
-    val (res, dres) = biased.partition(mostGeneral.res.contains)
-    Snapshot(res, dres, found.examined, found.timedOut)
+  /** `Res` of a search of `tree` from its root, which opens nodes level
+    * by level, so each is marked clean after its parents. The marks are
+    * cleared again: a node a later search does not open is not clean.
+    */
+  private[core] def snapshot(tree: Tree, found: Found): Snapshot = {
+    found.opened.foreach(n => n.clean = tree.parentsClean(n))
+    val res = found.biased.filter(tree.parentsClean).map(_.p)
+    found.opened.foreach(_.clean = false)
+    Snapshot(res, found.examined, found.timedOut)
   }
 
   /** Rejects the inputs no search accepts: `τ_s < 1`, and a k range

@@ -34,7 +34,7 @@ object DivergenceExplorer {
     val oD = k.toDouble / counter.datasetSize
     val tree = new TopDownSearch.Tree(counter, GlobalLowerBound(_ => 0.0), minSupport)
     tree
-      .search(Seq(tree.root()), k, Budget.unlimited)
+      .search(Seq(tree.root), k, Budget.unlimited)
       .opened
       .map { n =>
         val oG = n.cnt.toDouble / n.sD

@@ -57,7 +57,7 @@ object RunningExample {
   def p(assignments: (Int, Int)*): Pattern = Pattern.of(4, assignments: _*)
 }
 
-/** One-shot use of [[MostGeneral]], which the searches keep current. */
+/** One-shot uses of the oracle [[MostGeneral]], and the paper's `DRes`. */
 object MostGeneralFixture {
 
   /** Partition `patterns` into (most general, dominated): a pattern is
@@ -67,6 +67,15 @@ object MostGeneralFixture {
     val mg = new MostGeneral
     mg.update(Nil, patterns)
     (mg.res, mg.members.toSet -- mg.res)
+  }
+
+  /** `DRes[k]` (Section IV-A): the biased patterns a search from the root
+    * reaches at `k` that are not in `Res[k]`.
+    */
+  def dres(counter: PatternCounter, bound: BiasBound, tauS: Long, k: Int): Set[Pattern] = {
+    val tree = new TopDownSearch.Tree(counter, bound, tauS)
+    val reached = tree.search(Seq(tree.root), k, Budget.unlimited).biased.map(_.p).toSet
+    reached -- TopDownSearch.singleK(counter, bound, tauS, k).res
   }
 }
 
@@ -266,5 +275,105 @@ final class SlowRowCounter(inner: PatternCounter, slowRank: Int, sleepMillis: Lo
       Thread.sleep(sleepMillis)
     }
     inner.rankedRow(rank)
+  }
+}
+
+/** Literal truths about the patterns of `ix` at one k, from row scans, for
+  * tests that pin a case of the clean-parent rule of `Res[k]`: a pattern
+  * is clean at k if it and all its sub-patterns are unbiased, with
+  * `s_D ≥ τ_s`; a biased pattern is most general iff its immediate parents
+  * are all clean.
+  */
+final class PatternStates(ix: DatasetIndex, bound: BiasBound, tauS: Long) {
+  def large(q: Pattern): Boolean = ix.sizeD(q) >= tauS
+
+  def biased(q: Pattern, k: Int): Boolean = {
+    val (d, t) = ix.sizes(q, k)
+    d >= tauS && bound.biased(t, d, k)
+  }
+
+  /** Proper sub-patterns of `q`, the root excluded. */
+  def subPatterns(q: Pattern): Seq[Pattern] = {
+    val as = q.attrs
+    (1 until (1 << as.size) - 1).map { mask =>
+      Pattern.of(q.width, as.indices.filter(i => (mask >> i & 1) == 1).map(i => as(i) -> q.vals(as(i))): _*)
+    }
+  }
+
+  def clean(q: Pattern, k: Int): Boolean =
+    q.isRoot || (large(q) && !biased(q, k) && subPatterns(q).forall(!biased(_, k)))
+
+  /** `q`'s search-tree ancestors below it, the root excluded: its prefixes in attribute order. */
+  def prefixes(q: Pattern): Seq[Pattern] = {
+    val as = q.attrs
+    (1 until as.size).map(j => Pattern.of(q.width, as.take(j).map(a => a -> q.vals(a)): _*))
+  }
+
+  /** Whether a search from the root reaches `q` at `k`: no prefix is biased. */
+  def reached(q: Pattern, k: Int): Boolean = large(q) && prefixes(q).forall(!biased(_, k))
+
+  /** `q` with one more constraint and `s_D ≥ τ_s`. */
+  def latticeChildren(q: Pattern): Seq[Pattern] =
+    for {
+      a <- 0 until q.width if q.vals(a) == Pattern.Wildcard
+      v <- 0 until ix.domainSizes(a)
+      c = Pattern(q.vals.updated(a, v)) if large(c)
+    } yield c
+
+  def mostGeneral(q: Pattern, k: Int): Boolean = biased(q, k) && q.parents.forall(clean(_, k))
+}
+
+/** Witnesses of the two ways the clean-parent rule can go wrong when
+  * nodes outlive one k, found from [[PatternStates]] alone.
+  */
+object RuleWitnesses {
+
+  /** `(k, q, p)`: `q` is clean at `k - 1` and biased at `k`, so a search
+    * at `k` cuts it, while its lattice child `p` is biased and reached at
+    * `k` and every other immediate parent of `p` is clean. A flag `q`
+    * kept from `k - 1` would put `p` in `Res[k]`.
+    */
+  def staleParent(ix: DatasetIndex, bound: BiasBound, tauS: Long, kMin: Int, kMax: Int): Seq[(Int, Pattern, Pattern)] = {
+    val st = new PatternStates(ix, bound, tauS)
+    for {
+      k <- (kMin + 1) to kMax
+      q <- BruteForce.tauRegion(ix, tauS) if st.clean(q, k - 1) && st.biased(q, k)
+      p <- st.latticeChildren(q)
+      if st.biased(p, k) && st.reached(p, k) && p.parents.forall(r => r == q || st.clean(r, k))
+    } yield (k, q, p)
+  }
+
+  /** `(k, n, b)` for an incremental run over `[kMin, kMax]` whose bound
+    * does not fall: the search resumed at `k` below a recovered node that
+    * was never expanded creates `n`, clean at `k`, and `n` is the last
+    * immediate parent of `b` to turn clean, so `b`, tracked and biased
+    * since before `k`, enters `Res[k]`.
+    */
+  def resumedParent(ix: DatasetIndex, bound: BiasBound, tauS: Long, kMin: Int, kMax: Int): Seq[(Int, Pattern, Pattern)] = {
+    val st = new PatternStates(ix, bound, tauS)
+    val region = BruteForce.tauRegion(ix, tauS).sortBy(_.level)
+    def searchParent(x: Pattern) = Pattern(x.vals.updated(x.maxIdx, Pattern.Wildcard))
+    // The engine's tracked nodes at the end of each k: a node is tracked
+    // once its search-tree parent has been open, and a tracked node that
+    // is not biased is open.
+    val opened = scala.collection.mutable.Set.empty[Pattern]
+    var trackedBefore = Set.empty[Pattern]
+    var openedBefore = Set.empty[Pattern]
+    val found = Seq.newBuilder[(Int, Pattern, Pattern)]
+    for (k <- kMin to kMax) {
+      val tracked = scala.collection.mutable.Set.empty[Pattern]
+      for (x <- region if x.level == 1 || opened(searchParent(x))) {
+        tracked += x
+        if (!st.biased(x, k)) opened += x
+      }
+      if (k > kMin) for {
+        b <- region if st.mostGeneral(b, k) && !st.mostGeneral(b, k - 1) && st.biased(b, k - 1) && trackedBefore(b)
+        n <- b.parents if n.level >= 2
+        r = searchParent(n) if trackedBefore(r) && !openedBefore(r) && !st.biased(r, k)
+      } found += ((k, n, b))
+      trackedBefore = tracked.toSet
+      openedBefore = opened.toSet
+    }
+    found.result()
   }
 }

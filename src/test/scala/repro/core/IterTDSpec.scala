@@ -118,7 +118,7 @@ class IterTDSpec extends AnyFunSuite {
     val bound = GlobalLowerBound(k => if (k == 5) 100.0 else 1.0)
     val log = new SizeLogCounter(counter)
     val tree = new TopDownSearch.Tree(log, bound, 4)
-    val root = tree.root()
+    val root = tree.root
     def visited(f: TopDownSearch.Found) = f.opened ++ f.biased
     val at4 = visited(tree.search(Seq(root), 4, Budget.unlimited))
     val cnt4 = at4.map(n => n -> n.cnt).toMap
@@ -184,5 +184,42 @@ class IterTDSpec extends AnyFunSuite {
       }
     }
     assert(mostFlips >= 6, s"no pattern changed state more than $mostFlips times")
+  }
+
+  test("property: heavy churn on 300 tuples, k ∈ [1,300]: ITERTD ≡ GlobalBounds / PropBounds ≡ brute force at every k") {
+    var churn = 0 // patterns entering or leaving Res from one k to the next, over all runs
+    for (seed <- 0L until 4L) {
+      val rix = RandomData.index(seed + 700, n = 300, m = 4)
+      val c = new LocalPatternCounter(rix)
+      val tauS = 4 + seed % 3
+      // A wavy L_k scaled with k, so that it rises and falls across the
+      // counts of every level, not only the smallest.
+      val steps = RandomData.wavyBound(seed, 300)
+      val wavy = GlobalLowerBound(k => steps.lk(k) * k / 40)
+      val alpha = 0.7 + 0.1 * seed
+      val prop = ProportionalLowerBound(alpha, rix.size.toLong)
+      for ((bound, incremental) <- Seq(
+        wavy -> GlobalBounds.run(c, wavy, tauS, 1, 300),
+        prop -> PropBounds.run(c, alpha, tauS, 1, 300),
+      )) {
+        val expect = BruteForce.run(rix, bound, tauS, 1, 300)
+        assert(IterTD.run(c, bound, tauS, 1, 300).resByK == expect, s"seed=$seed $bound")
+        assert(incremental.resByK == expect, s"seed=$seed $bound")
+        churn += expect.values.zip(expect.values.tail).map { case (a, b) => (a diff b).size + (b diff a).size }.sum
+      }
+    }
+    assert(churn > 10000, s"only $churn changes of Res")
+  }
+
+  test("Figure 1, α = 0.8: a node clean at k and cut at k+1 does not make its biased lattice child most general") {
+    // {School=GP} is clean at k = 2 and biased at k = 3, where the search
+    // cuts it and reaches its lattice child {Gender=M, School=GP} through
+    // {Gender=M}, that child's only other immediate parent, which is clean.
+    val bound = ProportionalLowerBound(0.8, 16)
+    val witnesses = RuleWitnesses.staleParent(ix, bound, 4, 2, 16)
+    assert(witnesses.contains((3, p(1 -> 0), p(0 -> 1, 1 -> 0))))
+    val got = IterTD.run(counter, bound, 4, 2, 16).resByK
+    for ((k, _, child) <- witnesses) assert(!got(k).contains(child), s"k=$k $child")
+    assert(got == BruteForce.run(ix, bound, 4, 2, 16))
   }
 }

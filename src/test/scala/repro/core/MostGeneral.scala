@@ -2,9 +2,11 @@ package repro.core
 
 import scala.collection.mutable
 
-/** A changing set of patterns `B` together with its most general members:
-  * the split of the paper's biased set into `Res` (members no other member
-  * strictly subsumes) and `DRes` (the rest), kept current under deltas.
+/** Test oracle: a changing set of patterns `B` together with its most
+  * general members, the split of the paper's biased set into `Res`
+  * (members no other member strictly subsumes) and `DRes` (the rest), kept
+  * current under deltas. It shares no code with the detectors, which
+  * decide `Res` on their search trees.
   *
   * Dominance test. A member p is dominated iff one of its proper
   * sub-patterns (the root included) is also a member. Each pattern has a

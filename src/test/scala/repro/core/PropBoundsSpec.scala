@@ -149,4 +149,20 @@ class PropBoundsSpec extends AnyFunSuite {
     for (r <- opt ++ base) assert(r.resByK == base(0).resByK)
     assert(opt(0).examined == opt(1).examined && base(0).examined == base(1).examined)
   }
+
+  test("a search resumed below a recovered node creates the last clean parent of a biased node, which enters Res at that k") {
+    // Seed 20 of the random-data equivalence above: {A2=1} recovers at
+    // k = 5 and was never expanded, so the search resumed below it creates
+    // {A2=1, A3=2}, clean; {A1=1, A2=1, A3=2}, tracked and biased since
+    // before k = 5, has no other unclean parent.
+    val rix = RandomData.index(20, n = 40, m = 4)
+    val alpha = 1.1
+    val bound = ProportionalLowerBound(alpha, rix.size.toLong)
+    val created = Pattern.of(4, 2 -> 1, 3 -> 2)
+    val entering = Pattern.of(4, 1 -> 1, 2 -> 1, 3 -> 2)
+    assert(RuleWitnesses.resumedParent(rix, bound, 3, 2, 35).contains((5, created, entering)))
+    val got = PropBounds.run(new LocalPatternCounter(rix), alpha, 3, 2, 35).resByK
+    assert(!got(4).contains(entering) && got(5).contains(entering))
+    assert(got == BruteForce.run(rix, bound, 3, 2, 35))
+  }
 }

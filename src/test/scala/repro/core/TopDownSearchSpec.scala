@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 class TopDownSearchSpec extends AnyFunSuite {
   import RunningExample.p
+  import MostGeneralFixture.dres
   private val ix = RunningExample.index
   private val counter = new LocalPatternCounter(ix)
 
@@ -25,31 +26,30 @@ class TopDownSearchSpec extends AnyFunSuite {
   }
 
   test("Example 4.6: DRes[4] contains the four patterns named in the paper") {
-    val snap = TopDownSearch.singleK(counter, g2, tauS = 4, k = 4)
     val named = Set(
       p(0 -> 0, 2 -> 1), // Gender=F, Address=U
       p(0 -> 1, 2 -> 1), // Gender=M, Address=U
       p(0 -> 0, 3 -> 1), // Gender=F, Failures=1
       p(2 -> 0, 3 -> 1), // Address=R, Failures=1
     )
-    assert(named.subsetOf(snap.dres.toSet))
+    assert(named.subsetOf(dres(counter, g2, tauS = 4, k = 4)))
   }
 
   test("Example 4.6: DRes[4] exact contents") {
-    val snap = TopDownSearch.singleK(counter, g2, tauS = 4, k = 4)
     val expected = Set(
       p(0 -> 0, 1 -> 0), p(0 -> 1, 1 -> 0), // {G,S=GP} pair under School=GP
       p(0 -> 0, 2 -> 1), p(0 -> 1, 2 -> 1),
       p(0 -> 0, 3 -> 1), p(0 -> 1, 3 -> 1),
       p(1 -> 1, 3 -> 1), p(2 -> 0, 3 -> 1),
     )
-    assert(snap.dres.toSet == expected)
+    assert(dres(counter, g2, tauS = 4, k = 4) == expected)
   }
 
   test("Res and DRes are disjoint; DRes members are dominated by Res members") {
     val snap = TopDownSearch.singleK(counter, g2, tauS = 4, k = 4)
-    assert(snap.res.toSet.intersect(snap.dres.toSet).isEmpty)
-    assert(snap.dres.forall(d => snap.res.exists(_.strictlySubsumes(d))))
+    val dr = dres(counter, g2, tauS = 4, k = 4)
+    assert(snap.res.toSet.intersect(dr).isEmpty)
+    assert(dr.forall(d => snap.res.exists(_.strictlySubsumes(d))))
     assert(snap.res.forall(r => !snap.res.exists(_.strictlySubsumes(r))))
   }
 
@@ -123,7 +123,7 @@ class TopDownSearchSpec extends AnyFunSuite {
 
   test("τ_s above dataset size yields an empty result") {
     val snap = TopDownSearch.singleK(counter, g2, tauS = 17, k = 4)
-    assert(snap.res.isEmpty && snap.dres.isEmpty)
+    assert(snap.res.isEmpty && dres(counter, g2, tauS = 17, k = 4).isEmpty)
   }
 
   test("bound 0 yields no biased patterns") {
@@ -135,7 +135,7 @@ class TopDownSearchSpec extends AnyFunSuite {
     val snap = TopDownSearch.singleK(counter, GlobalLowerBound(_ => 100.0), tauS = 1, k = 4)
     // every level-1 pattern is biased, so Res is all of them, nothing deeper
     assert(snap.res.toSet == Pattern.root(4).searchTreeChildren(ix.domainSizes).toSet)
-    assert(snap.dres.isEmpty)
+    assert(dres(counter, GlobalLowerBound(_ => 100.0), tauS = 1, k = 4).isEmpty)
   }
 
   test("examined counts the counted patterns (level-1 at minimum)") {
