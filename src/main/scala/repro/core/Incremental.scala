@@ -51,8 +51,8 @@ object PropBounds {
   *  2. the nodes scheduled for k (the paper's `K`) are verified against
   *     their live counts: each turns biased, or is rescheduled at the next
   *     k its grown count allows;
-  *  3. the nodes whose biased flag changed and those the searches created
-  *     re-decide, level by level, whether they are clean and in `Res[k]`
+  *  3. the nodes whose biased flag changed and those a fresh search
+  *     created re-decide, level by level, whether they are clean and in `Res[k]`
   *     ([[TopDownSearch.Node.clean]]); a node whose clean flag flipped
   *     has its lattice children re-decided on the next level.
   *
@@ -106,14 +106,14 @@ private[core] object Incremental {
     }
 
     /** Algorithm 1 at k below the never-expanded `parents`: schedules the
-      * nodes it opens and adds every node it reaches to `touched`.
+      * nodes it opens and returns every node it reaches.
       */
-    def search(parents: Iterable[Node], k: Int): Unit = {
+    def search(parents: Iterable[Node], k: Int): TopDownSearch.Found = {
       val found = tree.search(parents, k, budget)
       found.opened.foreach(schedule(_, k))
-      touched ++= found.opened ++= found.biased
       examined += found.examined
       timedOut ||= found.timedOut
+      found
     }
 
     /** Bumps the count of every node below `n` that `row` satisfies;
@@ -143,6 +143,12 @@ private[core] object Incremental {
       * level, after all their parents; a node whose `clean` flips adds the
       * lattice children it can change to the next level: when it turns
       * clean, those reached through clean nodes, else those clean or in `Res`.
+      *
+      * Of the nodes a search creates, only a fresh search's are `touched`:
+      * the root never flips. A search resumed below a recovered node
+      * creates its super-patterns only, which can be clean or in `Res`
+      * only once it is clean; its clean flip queues them level by level,
+      * and until then their unset flags are right.
       */
     def settle(): Unit = {
       val levels = Array.fill(width + 1)(mutable.ArrayBuffer.empty[Node])
@@ -171,7 +177,8 @@ private[core] object Incremental {
         tree = new TopDownSearch.Tree(counter, bound, tauS)
         mostGeneral = Set.empty
         due = new Array(kMax - kMin + 1)
-        search(Seq(tree.root), k)
+        val found = search(Seq(tree.root), k)
+        touched ++= found.opened ++= found.biased
       } else {
         walk(tree.root, counter.rankedRow(k), k)
         search(recovered, k)

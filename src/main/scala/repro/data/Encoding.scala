@@ -8,9 +8,8 @@ import repro.core.DatasetIndex
   *
   * Values of the pattern attributes are treated as opaque categoricals;
   * a deterministic dictionary (values sorted by string form) maps them
-  * to dense indices, both for the driver-side [[DatasetIndex]] and for
-  * the integer-encoded DataFrame the regression and Shapley analysis
-  * consume.
+  * to dense indices for the driver-side [[DatasetIndex]], which the
+  * detectors and the result analysis read.
   */
 object Encoding {
 

@@ -197,7 +197,7 @@ object Experiments {
         .filter(p => p.attrs == Seq(attrIdx))
         .minByOption(_.vals(attrIdx))
         .getOrElse(detected.maxBy(ix.sizeD))
-      ds.name -> ResultAnalysis.explain(ds, ix, group, DefaultKMax)
+      ds.name -> ResultAnalysis.explain(ix, group, DefaultKMax)
     }
   }
 

@@ -1,7 +1,6 @@
 package repro.shapley
 
 import repro.core.{DatasetIndex, Pattern}
-import repro.data.{BiasDataGen, Encoding}
 
 /** End-to-end result analysis (Section V): given a group detected as
   * having biased representation in the top-k,
@@ -12,9 +11,10 @@ import repro.data.{BiasDataGen, Encoding}
   *  3. compare the value distribution of the highest-Shapley attribute
   *     between the group and the top-k tuples (Figures 10d–f).
   *
-  * The group's tuples and the top-k prefix are read from the
-  * [[DatasetIndex]] the detection ran on, whose dictionaries give the
-  * pattern's value codes their meaning. Only the ridge fit runs on Spark.
+  * Everything is read from the [[DatasetIndex]] the detection ran on: its
+  * rows in rank order are `M_R`'s training set, the group and the top-k
+  * prefix, and its dictionaries give the pattern's value codes their
+  * meaning.
   */
 object ResultAnalysis {
 
@@ -32,27 +32,28 @@ object ResultAnalysis {
       topkDist: Seq[(String, Double)],
   )
 
-  /** Explain the biased representation of `pattern` in the top-k of
-    * `ranked`, where `index` is the index of `ranked` that the detection
-    * ran on. Shapley values use the exact closed form for the linear
-    * surrogate (the Monte-Carlo engine is validated against it in tests).
+  /** Explain the biased representation of `pattern` in the top-k of the
+    * ranking `index` holds. Shapley values use the exact closed form for
+    * the linear surrogate (the Monte-Carlo engine is validated against it
+    * in tests).
     *
-    * @throws IllegalArgumentException if `index` covers other attributes
-    *         or dictionaries than `ranked`, `pattern` has another width,
-    *         no tuple matches `pattern`, or `k` is outside [1, |D|]
+    * @throws IllegalArgumentException if `pattern` has another width or a
+    *         value outside its attribute's domain, no tuple matches
+    *         `pattern`, or `k` is outside [1, |D|]
     */
-  def explain(ranked: BiasDataGen.RankedDataset, index: DatasetIndex, pattern: Pattern, k: Int): Explanation = {
-    val attrs = ranked.attrCols
-    require(index.attrNames == attrs,
-      s"the index covers attributes ${index.attrNames.mkString(",")}, the dataset ${attrs.mkString(",")}")
+  def explain(index: DatasetIndex, pattern: Pattern, k: Int): Explanation = {
+    val attrs = index.attrNames
     require(pattern.width == attrs.length, "pattern width must match the schema")
+    for (a <- pattern.attrs)
+      require(pattern.vals(a) >= 0 && pattern.vals(a) < index.domainSizes(a),
+        s"pattern value ${pattern.vals(a)} of ${attrs(a)} is outside [0, ${index.domainSizes(a)})")
     require(k >= 1 && k <= index.size, s"k must be in [1, ${index.size}]: $k")
     val group = index.rows.filter(pattern.matches)
     require(group.nonEmpty, s"no tuple matches the group ${index.render(pattern)}")
 
-    val (enc, domainSizes, dicts) = Encoding.encode(ranked.df, attrs, ranked.rankCol)
-    require(dicts == index.domains, "the index's dictionaries differ from the dataset's")
-    val model = RidgeRegression.fit(enc, attrs, domainSizes, ranked.rankCol)
+    // M_R is trained on D_R = {(t, R(D)[t])}: rows(i) has rank i + 1.
+    val ranks = Array.tabulate(index.size)(i => (i + 1).toDouble)
+    val model = RidgeRegression.fit(index.rows, ranks, attrs, index.domainSizes)
 
     // s_i = Σ_{t ⊨ p} s_i^t / s_D(p)
     val phis = group.map(Shapley.linearExact(model, _))

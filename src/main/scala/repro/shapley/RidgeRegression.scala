@@ -1,18 +1,17 @@
 package repro.shapley
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-
 /** Ridge regression over one-hot-encoded categorical attributes — the
   * paper's surrogate regression model `M_R` trained on
   * `D_R = {(t, R(D)[t])}` to approximate the black-box ranker
   * (Section V).
   *
-  * The design-matrix moments `XᵀX`, `Xᵀy` and the feature sums are
-  * accumulated in a single distributed pass (`mapPartitions` + `reduce`
-  * on a typed Dataset), and the regularized normal equations are solved
-  * with a dense Cholesky factorization on the driver; the feature count
-  * is Σ |Dom(A_i)| + 1 — tiny compared to the data.
+  * The design-matrix moments `XᵀX` and `Xᵀy` are accumulated on the
+  * driver in one pass over the encoded rows (a [[repro.core.DatasetIndex]]
+  * holds them in rank order), and the regularized normal equations are
+  * solved with a dense Cholesky factorization; the feature count is
+  * Σ |Dom(A_i)| + 1 — tiny compared to the data. With integer labels,
+  * such as ranks, every moment is an exact integer sum, so the model does
+  * not depend on the order of the rows.
   */
 object RidgeRegression {
 
@@ -33,100 +32,55 @@ object RidgeRegression {
   ) {
 
     /** Predicted label for an encoded tuple (value index per attribute). */
-    def predict(row: Array[Int]): Double = {
-      var y = weights(offsets.last) // intercept
-      var a = 0
-      while (a < attrCols.length) {
-        y += weights(offsets(a) + row(a))
-        a += 1
-      }
-      y
-    }
+    def predict(row: Array[Int]): Double =
+      attrCols.indices.foldLeft(weights(offsets.last))((y, a) => y + weights(offsets(a) + row(a)))
 
     /** Mean prediction over the training (background) distribution. */
-    def meanPrediction: Double = {
-      var y = weights(offsets.last)
-      var j = 0
-      while (j < offsets.last) { y += weights(j) * featureMeans(j); j += 1 }
-      y
-    }
+    def meanPrediction: Double =
+      (0 until offsets.last).foldLeft(weights(offsets.last))((y, j) => y + weights(j) * featureMeans(j))
   }
 
-  /** Fit on an integer-encoded DataFrame (as produced by
-    * [[repro.data.Encoding.encode]]) with a numeric label column.
+  /** Fit on encoded tuples (`rows(i)(a)`: the value index of attribute
+    * `a`) labelled by `labels(i)`.
+    *
+    * @throws IllegalArgumentException if there are no rows or the label
+    *         count differs from the row count
     */
   def fit(
-      encoded: DataFrame,
+      rows: Array[Array[Int]],
+      labels: Array[Double],
       attrCols: Seq[String],
       domainSizes: IndexedSeq[Int],
-      labelCol: String,
       lambda: Double = 1e-6,
   ): Model = {
-    val spark = encoded.sparkSession
-    import spark.implicits._
-
+    require(rows.nonEmpty, "empty training set")
+    require(labels.length == rows.length, s"${labels.length} labels for ${rows.length} rows")
     val m = attrCols.length
     val offsets = domainSizes.scanLeft(0)(_ + _) // offsets(m) = #one-hot features
     val d = offsets(m) + 1                       // + intercept
-    val tri = d * (d + 1) / 2                    // upper-triangular XtX size
 
-    val moments = encoded
-      .select(attrCols.map(c => col(c).cast("int")) :+ col(labelCol).cast("double"): _*)
-      .mapPartitions { it =>
-        val xtx = new Array[Double](tri)
-        val xty = new Array[Double](d)
-        val cnt = Array(0.0)
-        val feat = new Array[Int](m + 1)
-        for (r <- it) {
-          var a = 0
-          while (a < m) { feat(a) = offsets(a) + r.getInt(a); a += 1 }
-          feat(m) = d - 1 // intercept
-          val y = r.getDouble(m)
-          var i = 0
-          while (i <= m) {
-            val fi = feat(i)
-            xty(fi) += y
-            var j = i
-            while (j <= m) {
-              val fj = feat(j)
-              val (lo, hi) = if (fi <= fj) (fi, fj) else (fj, fi)
-              xtx(lo * d - lo * (lo - 1) / 2 + (hi - lo)) += 1.0
-              j += 1
-            }
-            i += 1
-          }
-          cnt(0) += 1.0
-        }
-        Iterator.single((xtx, xty, cnt))
-      }
-      .reduce { (l, r) =>
-        var i = 0; while (i < tri) { l._1(i) += r._1(i); i += 1 }
-        i = 0; while (i < d) { l._2(i) += r._2(i); i += 1 }
-        l._3(0) += r._3(0)
-        l
-      }
-
-    val (xtxTri, xty, cntArr) = moments
-    val n = cntArr(0)
-    require(n > 0, "empty training set")
-
-    // densify upper-triangular XtX and add the ridge
+    // A row's feature ids ascend (offsets grow, the intercept is last), so
+    // its products all land in the upper triangle of XtX.
     val a = Array.ofDim[Double](d, d)
-    var i = 0
-    while (i < d) {
-      var j = i
-      while (j < d) {
-        val v = xtxTri(i * d - i * (i - 1) / 2 + (j - i))
-        a(i)(j) = v; a(j)(i) = v
-        j += 1
+    val xty = new Array[Double](d)
+    val feat = new Array[Int](m + 1)
+    feat(m) = d - 1
+    for ((r, y) <- rows.iterator.zip(labels.iterator)) {
+      for (i <- 0 until m) feat(i) = offsets(i) + r(i)
+      for (i <- 0 to m) {
+        xty(feat(i)) += y
+        for (j <- i to m) a(feat(i))(feat(j)) += 1.0
       }
+    }
+    // mirror into the lower triangle and add the ridge
+    for (i <- 0 until d) {
+      for (j <- i + 1 until d) a(j)(i) = a(i)(j)
       a(i)(i) += lambda
-      i += 1
     }
     val w = Linalg.choleskySolve(a, xty)
     val means = Array.tabulate(offsets(m)) { j =>
       // feature count = diagonal of XtX (before ridge); recover it
-      (a(j)(j) - lambda) / n
+      (a(j)(j) - lambda) / rows.length
     }
     Model(attrCols.toIndexedSeq, domainSizes, offsets.toIndexedSeq, w, means)
   }

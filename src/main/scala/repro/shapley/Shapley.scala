@@ -46,6 +46,8 @@ object Shapley {
     *                   distribution)
     * @param samples    number of (permutation, background-tuple) draws
     * @param seed       RNG seed — deterministic for tests
+    * @throws IllegalArgumentException if `background` is empty or holds a
+    *         tuple of another width than `t`, or `samples < 1`
     */
   def monteCarlo(
       f: Array[Int] => Double,
@@ -55,6 +57,8 @@ object Shapley {
       seed: Long,
   ): Array[Double] = {
     require(background.nonEmpty, "background distribution must be non-empty")
+    require(samples >= 1, s"samples must be at least 1, got $samples")
+    require(background.forall(_.length == t.length), s"every background tuple must have width ${t.length}")
     val m = t.length
     val rnd = new Random(seed)
     val phi = new Array[Double](m)

@@ -17,7 +17,7 @@ class ResultAnalysisSpec extends SparkSpec {
     // group {Medu = 0} (primary education) — the paper's p1 analogue.
     val meduIdx = student.attrCols.indexOf("Medu")
     val p = Pattern.of(student.attrCols.size, meduIdx -> 0)
-    ResultAnalysis.explain(student, studentIx, p, k = 49)
+    ResultAnalysis.explain(studentIx, p, k = 49)
   }
 
   test("aggregated Shapley covers every attribute") {
@@ -68,14 +68,14 @@ class ResultAnalysisSpec extends SparkSpec {
 
   test("explain validates the pattern width") {
     intercept[IllegalArgumentException] {
-      ResultAnalysis.explain(student, studentIx, Pattern.of(3, 0 -> 0), k = 10)
+      ResultAnalysis.explain(studentIx, Pattern.of(3, 0 -> 0), k = 10)
     }
   }
 
   test("german-like: scoring attributes dominate the attribution (Fig 10c analogue)") {
     val german = BiasDataGen.germanLike(spark, nAttrs = 10)
     val p = Pattern.of(10, 0 -> 0) // {status_account = low}
-    val expl = ResultAnalysis.explain(german, Encoding.index(german.df, german.attrCols, german.rankCol), p, k = 49)
+    val expl = ResultAnalysis.explain(Encoding.index(german.df, german.attrCols, german.rankCol), p, k = 49)
     val top4 = expl.aggShapley.take(4).map(_._1).toSet
     assert(Set("status_account", "duration", "credit_amount", "installment_rate")
       .intersect(top4).size >= 3, s"top4=$top4")
@@ -87,14 +87,16 @@ class ResultAnalysisSpec extends SparkSpec {
     def label(r: Row, c: String): String = Option(r.getAs[Any](c)).fold(Encoding.NullLabel)(_.toString)
     val meduLabel = rows.map(label(_, "Medu")).distinct.min // value 0 of the sorted dictionary
     val group = rows.filter(label(_, "Medu") == meduLabel)
-    // The surrogate refit here, and the group's encoded rows.
+    // The surrogate refit here on the encoded rows ordered by rank, and the group's encoded rows.
     val (enc, domainSizes, _) = Encoding.encode(student.df, attrs, student.rankCol)
-    val model = RidgeRegression.fit(enc, attrs, domainSizes, student.rankCol)
-    val encGroup = enc.collect().map(r => Array.tabulate(attrs.length)(r.getInt)).filter(_(attrs.indexOf("Medu")) == 0)
+    val byRank = enc.collect().sortBy(_.getInt(attrs.length))
+    val encRows = byRank.map(r => Array.tabulate(attrs.length)(r.getInt))
+    val model = RidgeRegression.fit(encRows, byRank.map(_.getInt(attrs.length).toDouble), attrs, domainSizes)
+    val encGroup = encRows.filter(_(attrs.indexOf("Medu")) == 0)
     assert(encGroup.length == group.length)
     val phis = encGroup.map(Shapley.linearExact(model, _))
     // At k = 49 the top-k holds one G3 value only; k = 150 mixes them.
-    for ((expl, k) <- Seq(meduExpl -> 49, ResultAnalysis.explain(student, studentIx, medu, k = 150) -> 150)) {
+    for ((expl, k) <- Seq(meduExpl -> 49, ResultAnalysis.explain(studentIx, medu, k = 150) -> 150)) {
       // Distributions: shares by string label over the collected rows.
       val topK = rows.filter(_.getAs[Int](student.rankCol) <= k)
       for ((dist, rs) <- Seq(expl.groupDist -> group, expl.topkDist -> topK)) {
@@ -116,20 +118,24 @@ class ResultAnalysisSpec extends SparkSpec {
       .map(r => Pattern(r.toVector.updated(0, 1 - r(0)))) // school has two values
       .find(studentIx.sizeD(_) == 0)
       .get
-    val e = intercept[IllegalArgumentException](ResultAnalysis.explain(student, studentIx, empty, k = 49))
+    val e = intercept[IllegalArgumentException](ResultAnalysis.explain(studentIx, empty, k = 49))
     assert(e.getMessage.contains("no tuple matches the group"))
   }
 
   test("explain rejects k outside [1, |D|]") {
     for (k <- Seq(-1, 0, studentIx.size + 1)) {
-      val e = intercept[IllegalArgumentException](ResultAnalysis.explain(student, studentIx, medu, k))
+      val e = intercept[IllegalArgumentException](ResultAnalysis.explain(studentIx, medu, k))
       assert(e.getMessage.contains(s"k must be in [1, ${studentIx.size}]"), s"k=$k")
     }
   }
 
-  test("explain rejects an index built on other attributes") {
-    val prefix = Encoding.index(student.df, student.attrCols.take(4), student.rankCol)
-    val e = intercept[IllegalArgumentException](ResultAnalysis.explain(student, prefix, medu, k = 49))
-    assert(e.getMessage.contains("the index covers attributes"))
+  test("explain rejects a pattern value outside its attribute's domain") {
+    val meduIdx = student.attrCols.indexOf("Medu")
+    val size = studentIx.domainSizes(meduIdx)
+    for (v <- Seq(size, size + 1, -2)) {
+      val p = Pattern.of(student.attrCols.size, meduIdx -> v)
+      val e = intercept[IllegalArgumentException](ResultAnalysis.explain(studentIx, p, k = 49))
+      assert(e.getMessage.contains(s"pattern value $v of Medu is outside [0, $size)"), s"v=$v")
+    }
   }
 }

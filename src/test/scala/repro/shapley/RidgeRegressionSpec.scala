@@ -1,6 +1,5 @@
 package repro.shapley
 
-import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.data.{BiasDataGen, Encoding}
 
@@ -48,8 +47,10 @@ class LinalgSpec extends org.scalatest.funsuite.AnyFunSuite {
 
 class RidgeRegressionSpec extends SparkSpec {
 
-  /** Small synthetic: label is an exact linear function of one-hot
-    * features, so the fit must interpolate.
+  private val attrs = Seq("a", "b", "c")
+
+  /** Small synthetic: the encoded rows of an index, labelled by an exact
+    * linear function of one-hot features, so the fit must interpolate.
     */
   private lazy val fixture = {
     val ds = BiasDataGen.generate(
@@ -60,66 +61,70 @@ class RidgeRegressionSpec extends SparkSpec {
         BiasDataGen.AttrSpec("c", 4),
       ),
       noise = 0.0, seed = 21)
-    val (enc, domainSizes, _) = Encoding.encode(ds.df, Seq("a", "b", "c"), "rank")
-    val withLabel = enc
-      .withColumn("label", col("a") / 2.0 * 1.0 - col("b") * 0.5 + lit(3.0))
-    (withLabel.cache(), domainSizes)
+    val ix = Encoding.index(ds.df, attrs, "rank")
+    val labels = ix.rows.map(r => r(0) / 2.0 * 1.0 - r(1) * 0.5 + 3.0)
+    (ix.rows, labels, ix.domainSizes)
+  }
+
+  private lazy val model = {
+    val (rows, labels, domainSizes) = fixture
+    RidgeRegression.fit(rows, labels, attrs, domainSizes)
   }
 
   test("fit recovers an exactly linear labeling (prediction error ~ 0)") {
-    val (df, domainSizes) = fixture
-    val model = RidgeRegression.fit(df, Seq("a", "b", "c"), domainSizes, "label")
-    val rows = df.select("a", "b", "c", "label").collect()
-    for (r <- rows.take(100)) {
-      val pred = model.predict(Array(r.getInt(0), r.getInt(1), r.getInt(2)))
-      assert(math.abs(pred - r.getDouble(3)) < 1e-4, s"row $r pred=$pred")
+    val (rows, labels, _) = fixture
+    for ((r, y) <- rows.zip(labels).take(100)) {
+      val pred = model.predict(r)
+      assert(math.abs(pred - y) < 1e-4, s"row ${r.toSeq} pred=$pred")
     }
   }
 
   test("meanPrediction equals the label mean (intercept property)") {
-    val (df, domainSizes) = fixture
-    val model = RidgeRegression.fit(df, Seq("a", "b", "c"), domainSizes, "label")
-    val mean = df.agg(avg("label")).collect()(0).getDouble(0)
-    assert(math.abs(model.meanPrediction - mean) < 1e-6)
+    val (_, labels, _) = fixture
+    assert(math.abs(model.meanPrediction - labels.sum / labels.length) < 1e-6)
   }
 
   test("feature means match the empirical one-hot frequencies") {
-    val (df, domainSizes) = fixture
-    val model = RidgeRegression.fit(df, Seq("a", "b", "c"), domainSizes, "label")
-    val n = df.count().toDouble
+    val (rows, _, domainSizes) = fixture
     for (v <- 0 until domainSizes(0)) {
-      val freq = df.filter(col("a") === v).count() / n
+      val freq = rows.count(_(0) == v).toDouble / rows.length
       assert(math.abs(model.featureMeans(v) - freq) < 1e-9, s"a=$v")
     }
   }
 
   test("design-matrix moments validated against DuckDB") {
-    val (df, _) = fixture
-    val sparkAgg = df.agg(
-      sum(when(col("a") === 0, col("label")).otherwise(0.0)).alias("xty_a0"),
-      sum(when(col("a") === 1 && col("b") === 0, 1L).otherwise(0L)).alias("xtx_a1b0"),
-      count(lit(1)).alias("n"),
+    val (rows, labels, domainSizes) = fixture
+    val n = rows.length
+    val table = spark
+      .createDataFrame(rows.toSeq.zip(labels).map { case (r, y) => (r(0), r(1), r(2), y) })
+      .toDF("a", "b", "c", "label")
+    // featureMeans · n is the diagonal of XᵀX: each (attribute, value)'s one-hot count.
+    val counts = for (a <- attrs.indices; v <- 0 until domainSizes(a)) yield {
+      val c = model.featureMeans(model.offsets(a) + v) * n
+      assert(math.abs(c - math.rint(c)) < 1e-6, s"${attrs(a)}=$v: $c")
+      (attrs(a), v, math.rint(c).toLong)
+    }
+    Oracle.assertEquivalent(
+      spark.createDataFrame(counts).toDF("attr", "v", "cnt"),
+      attrs.map(a => s"SELECT '$a' AS attr, $a AS v, count(*) AS cnt FROM t GROUP BY $a").mkString(" UNION ALL "),
+      "t" -> table,
     )
     Oracle.assertEquivalent(
-      sparkAgg,
-      """SELECT
-        |  sum(CASE WHEN a = '0' THEN CAST(label AS DOUBLE) ELSE 0 END) AS xty_a0,
-        |  sum(CASE WHEN a = '1' AND b = '0' THEN 1 ELSE 0 END) AS xtx_a1b0,
-        |  count(*) AS n
-        |FROM t""".stripMargin,
-      "t" -> df,
+      spark.createDataFrame(Seq(Tuple1(model.meanPrediction))).toDF("mean_label"),
+      "SELECT avg(CAST(label AS DOUBLE)) AS mean_label FROM t",
+      "t" -> table,
     )
   }
 
   test("fit on the rank label produces a usable surrogate of the ranker") {
     val ds = BiasDataGen.studentLike(spark, nAttrs = 10)
-    val (enc, domainSizes, _) = Encoding.encode(ds.df, ds.attrCols.take(10), "rank")
-    val model = RidgeRegression.fit(enc, ds.attrCols.take(10), domainSizes, "rank")
+    val ix = Encoding.index(ds.df, ds.attrCols.take(10), "rank")
+    val ranks = Array.tabulate(ix.size)(i => (i + 1).toDouble)
+    val model = RidgeRegression.fit(ix.rows, ranks, ds.attrCols.take(10), ix.domainSizes)
     // Spearman-like sanity: predictions must correlate with rank.
-    val rows = enc.collect()
-    val preds = rows.map(r => (r.getInt(10), model.predict(Array.tabulate(10)(r.getInt))))
+    val preds = ix.rows.zip(ranks).map { case (r, rank) => (rank, model.predict(r)) }
     val n = preds.length.toDouble
-    val mr = preds.map(_._1.toDouble).sum / n
+    val mr = preds.map(_._1).sum / n
     val mp = preds.map(_._2).sum / n
     val cov = preds.map { case (r, p) => (r - mr) * (p - mp) }.sum
     val vr = math.sqrt(preds.map { case (r, _) => (r - mr) * (r - mr) }.sum)
@@ -129,9 +134,15 @@ class RidgeRegressionSpec extends SparkSpec {
   }
 
   test("fit rejects an empty training set") {
-    val (df, domainSizes) = fixture
+    val (_, _, domainSizes) = fixture
     intercept[Exception] {
-      RidgeRegression.fit(df.filter(lit(false)), Seq("a", "b", "c"), domainSizes, "label")
+      RidgeRegression.fit(Array.empty, Array.empty, attrs, domainSizes)
     }
+  }
+
+  test("fit rejects a label count other than the row count") {
+    val (rows, labels, domainSizes) = fixture
+    val e = intercept[IllegalArgumentException](RidgeRegression.fit(rows, labels.tail, attrs, domainSizes))
+    assert(e.getMessage.contains(s"${labels.length - 1} labels for ${rows.length} rows"))
   }
 }

@@ -2,7 +2,6 @@ package repro.shapley
 
 import repro.SparkSpec
 import repro.data.{BiasDataGen, Encoding}
-import org.apache.spark.sql.functions._
 
 class ShapleySpec extends SparkSpec {
 
@@ -16,11 +15,9 @@ class ShapleySpec extends SparkSpec {
       ),
       noise = 0.05, seed = 33)
     val attrs = Seq("x", "y", "z")
-    val (enc, domainSizes, _) = Encoding.encode(ds.df, attrs, "rank")
-    val cached = enc.cache()
-    val model = RidgeRegression.fit(cached, attrs, domainSizes, "rank")
-    val rows = cached.collect().map(r => Array.tabulate(3)(r.getInt))
-    (model, rows)
+    val ix = Encoding.index(ds.df, attrs, "rank")
+    val model = RidgeRegression.fit(ix.rows, Array.tabulate(ix.size)(i => (i + 1).toDouble), attrs, ix.domainSizes)
+    (model, ix.rows)
   }
 
   test("efficiency axiom: Σφ_a = f(t) − E[f] for the exact engine") {
@@ -101,6 +98,22 @@ class ShapleySpec extends SparkSpec {
     val (model, rows) = fixture
     intercept[IllegalArgumentException] {
       Shapley.monteCarlo(model.predict, rows.head, Array.empty, 10, 1)
+    }
+  }
+
+  test("monteCarlo rejects fewer than one sample") {
+    val (model, rows) = fixture
+    for (samples <- Seq(0, -1)) {
+      val e = intercept[IllegalArgumentException](Shapley.monteCarlo(model.predict, rows.head, rows, samples, 1))
+      assert(e.getMessage.contains(s"samples must be at least 1, got $samples"))
+    }
+  }
+
+  test("monteCarlo rejects a background tuple of another width") {
+    val (model, rows) = fixture
+    for (bad <- Seq(rows.head.take(2), rows.head :+ 0)) {
+      val e = intercept[IllegalArgumentException](Shapley.monteCarlo(model.predict, rows.head, rows :+ bad, 10, 1))
+      assert(e.getMessage.contains("every background tuple must have width 3"))
     }
   }
 }
