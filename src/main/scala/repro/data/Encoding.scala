@@ -1,15 +1,14 @@
 package repro.data
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.functions.col
 import repro.core.DatasetIndex
 
-/** Bridges ranked DataFrames and the search algorithms' inputs.
-  *
-  * Values of the pattern attributes are treated as opaque categoricals;
-  * a deterministic dictionary (values sorted by string form) maps them
-  * to dense indices for the driver-side [[DatasetIndex]], which the
-  * detectors and the result analysis read.
+/** Bridges ranked DataFrames and the search algorithms' inputs: values of
+  * the pattern attributes are opaque categoricals, which a deterministic
+  * dictionary (labels sorted by string form) maps to dense indices for the
+  * driver-side [[DatasetIndex]] that the detectors and the result analysis
+  * read.
   */
 object Encoding {
 
@@ -19,63 +18,53 @@ object Encoding {
   val NullLabel = "∅"
 
   /** Per-attribute value dictionaries: sorted distinct string forms, with
-    * null as [[NullLabel]]. One aggregation job collects, per column, the
-    * set of non-null values and whether any value is null.
+    * null as [[NullLabel]]. These are [[index]]'s dictionaries, built by
+    * the same rule from a collect of the labels alone.
     */
   def dictionaries(df: DataFrame, attrCols: Seq[String]): IndexedSeq[IndexedSeq[String]] =
-    if (attrCols.isEmpty) IndexedSeq.empty
-    else {
-      val aggs = attrCols.flatMap(c =>
-        Seq(collect_set(col(c).cast("string")), count(when(col(c).isNull, 1))))
-      val row = df.agg(aggs.head, aggs.tail: _*).head()
-      attrCols.indices.map { i =>
-        val values = row.getSeq[String](2 * i)
-        require(!values.contains(NullLabel),
-          s"column ${attrCols(i)} holds the string $NullLabel, which is reserved for null")
-        (if (row.getLong(2 * i + 1) > 0) values :+ NullLabel else values).sorted.toIndexedSeq
-      }
-    }
+    encode(df.select(attrCols.map(col(_).cast("string")): _*).collect(), attrCols, None)._1
 
-  /** Integer-encode the pattern attributes of a ranked DataFrame.
-    *
-    * @return (encoded DataFrame with one int column per attribute plus
-    *         the rank column, per-attribute domain sizes)
-    */
-  def encode(
-      df: DataFrame,
-      attrCols: Seq[String],
-      rankCol: String,
-  ): (DataFrame, IndexedSeq[Int], IndexedSeq[IndexedSeq[String]]) = {
-    val dicts = dictionaries(df, attrCols)
-    val encodedCols = attrCols.zipWithIndex.map { case (c, i) =>
-      val mapping = map(dicts(i).zipWithIndex.flatMap { case (v, j) =>
-        Seq(lit(v), lit(j))
-      }: _*)
-      element_at(mapping, coalesce(col(c).cast("string"), lit(NullLabel))).alias(c)
-    }
-    val enc = df.select(encodedCols :+ col(rankCol).cast("int").alias(rankCol): _*)
-    (enc, dicts.map(_.size), dicts)
-  }
-
-  /** Build the driver-side bitset index from a ranked DataFrame.
-    *
-    * The encoded rows are collected in any order and each is placed at
-    * its rank, so no sort runs. The ranks must be exactly 1..|D|: a null,
-    * out-of-range or repeated rank is rejected.
+  /** Build the driver-side bitset index from a ranked DataFrame in one
+    * Spark job, the collect of every tuple's labels and rank. The ranks
+    * must be exactly 1..|D|: a null, out-of-range or repeated rank is
+    * rejected.
     */
   def index(df: DataFrame, attrCols: Seq[String], rankCol: String): DatasetIndex = {
-    val (enc, domainSizes, dicts) = encode(df, attrCols, rankCol)
-    val collected = enc.collect()
+    val labels = attrCols.map(col(_).cast("string")) :+ col(rankCol).cast("int")
+    val (dicts, rows) = encode(df.select(labels: _*).collect(), attrCols, Some(rankCol))
+    new DatasetIndex(rows, dicts.map(_.size), attrCols.toIndexedSeq, dicts)
+  }
+
+  /** Dictionaries and codes of `collected`, whose rows hold each
+    * attribute's string label (null for null) and, with a `rankCol`, the
+    * rank last, so that the row ranked r is written at r − 1 and no sort
+    * runs. Codes are given in order of first sight, then in label order.
+    */
+  private def encode(collected: Array[Row], attrCols: Seq[String], rankCol: Option[String])
+      : (IndexedSeq[IndexedSeq[String]], Array[Array[Int]]) = {
     val w = attrCols.length
+    val firstSeen = Array.fill(w)(new java.util.HashMap[String, Integer])
     val rows = new Array[Array[Int]](collected.length)
-    for (r <- collected) {
-      require(!r.isNullAt(w), s"rank column $rankCol holds a null")
-      val rank = r.getInt(w)
-      require(rank >= 1 && rank <= rows.length,
-        s"rank column $rankCol holds $rank, outside [1, ${rows.length}]")
-      require(rows(rank - 1) == null, s"rank column $rankCol holds $rank twice")
-      rows(rank - 1) = Array.tabulate(w)(r.getInt)
+    for ((r, i) <- collected.zipWithIndex) {
+      val pos = rankCol.fold(i) { c =>
+        require(!r.isNullAt(w), s"rank column $c holds a null")
+        val rank = r.getInt(w)
+        require(rank >= 1 && rank <= rows.length, s"rank column $c holds $rank, outside [1, ${rows.length}]")
+        require(rows(rank - 1) == null, s"rank column $c holds $rank twice")
+        rank - 1
+      }
+      rows(pos) = Array.tabulate(w)(a => firstSeen(a).computeIfAbsent(r.getString(a), _ => firstSeen(a).size))
     }
-    new DatasetIndex(rows, domainSizes, attrCols.toIndexedSeq, dicts)
+    val dicts = attrCols.indices.map { a =>
+      require(!firstSeen(a).containsKey(NullLabel),
+        s"column ${attrCols(a)} holds the string $NullLabel, which is reserved for null")
+      val labels = new Array[String](firstSeen(a).size)
+      firstSeen(a).forEach((label, code) => labels(code) = if (label == null) NullLabel else label)
+      val order = labels.indices.sortBy(labels(_)) // first-sight codes in label order
+      val renumbered = order.indices.sortBy(order(_)).toArray // its inverse
+      rows.foreach(codes => codes(a) = renumbered(codes(a)))
+      order.map(labels(_))
+    }
+    (dicts, rows)
   }
 }

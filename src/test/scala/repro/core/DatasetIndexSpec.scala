@@ -206,4 +206,32 @@ class DatasetIndexSpec extends AnyFunSuite {
     assert(e.getMessage.contains(s"attribute income has the largest domain (${Int.MaxValue} values)"))
     assert(e.getMessage.contains("bucketize"))
   }
+
+  private def rebuild(
+      rows: Array[Array[Int]] = ix.rows,
+      names: IndexedSeq[String] = ix.attrNames,
+      domains: IndexedSeq[IndexedSeq[String]] = ix.domains,
+  ): String = intercept[IllegalArgumentException](new DatasetIndex(rows, ix.domainSizes, names, domains)).getMessage
+
+  test("an attribute name list of another width is rejected") {
+    for (names <- Seq(ix.attrNames.init, ix.attrNames :+ "Extra")) {
+      val msg = rebuild(names = names)
+      assert(msg.contains(s"${names.length} attribute names") && msg.contains("for 4 attributes"), msg)
+    }
+  }
+
+  test("a label list that does not match its domain size is rejected, naming the attribute") {
+    val msg = rebuild(domains = ix.domains.updated(3, IndexedSeq("0", "1")))
+    assert(msg.contains("attribute Failures has 2 labels for 3 values"), msg)
+    assert(rebuild(domains = ix.domains.init).contains("3 label lists for 4 attributes"))
+  }
+
+  test("a row value outside its attribute's domain is rejected, naming the attribute and rank") {
+    for (v <- Seq(3, -1)) {
+      val rows = ix.rows.map(_.clone)
+      rows(6)(3) = v
+      val msg = rebuild(rows = rows)
+      assert(msg.contains(s"rank 7 holds value $v of attribute Failures, outside [0, 3)"), msg)
+    }
+  }
 }

@@ -278,6 +278,33 @@ final class SlowRowCounter(inner: PatternCounter, slowRank: Int, sleepMillis: Lo
   }
 }
 
+/** Counter whose `expireAt`-th [[countInto]] call spins until `budget`
+  * reads expired, then counts through a [[LocalPatternCounter]]: a run
+  * given the same budget sees it expire inside that call. It serves the
+  * searches' [[countInto]] path only; the `Map` API throws.
+  */
+final class ExpiringCounter(ix: DatasetIndex, expireAt: Int, budget: Budget) extends PatternCounter {
+  private val inner = new LocalPatternCounter(ix)
+  /** `countInto` calls so far. */
+  var calls = 0
+  /** Whether the budget had already expired when the `expireAt`-th call began. */
+  var expiredBefore = false
+  override def width: Int = inner.width
+  override def domainSizes: IndexedSeq[Int] = inner.domainSizes
+  override def datasetSize: Long = inner.datasetSize
+  override def countBatch(patterns: Seq[Pattern], k: Int): Map[Pattern, (Long, Long)] =
+    throw new UnsupportedOperationException("the searches count through countInto")
+  override def countInto(patterns: IndexedSeq[Pattern], k: Int, sD: Array[Int], topK: Array[Int]): Unit = {
+    calls += 1
+    if (calls == expireAt) {
+      expiredBefore = budget.expired
+      while (!budget.expired) Thread.onSpinWait()
+    }
+    inner.countInto(patterns, k, sD, topK)
+  }
+  override def rankedRow(rank: Int): Array[Int] = inner.rankedRow(rank)
+}
+
 /** Literal truths about the patterns of `ix` at one k, from row scans, for
   * tests that pin a case of the clean-parent rule of `Res[k]`: a pattern
   * is clean at k if it and all its sub-patterns are unbiased, with

@@ -1,5 +1,8 @@
 package repro.data
 
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.TestListenerBus
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.core._
@@ -20,12 +23,12 @@ class EncodingSpec extends SparkSpec {
     assert(dicts(3) == IndexedSeq("0", "1", "2"))
   }
 
-  test("encode produces integer columns with the declared domain sizes") {
-    val (enc, domainSizes, _) = Encoding.encode(rankedDf, attrs, "rank")
-    assert(domainSizes == IndexedSeq(2, 2, 2, 3))
+  test("index produces codes covering the declared domain sizes") {
+    val ix = Encoding.index(rankedDf, attrs, "rank")
+    assert(ix.domainSizes == IndexedSeq(2, 2, 2, 3))
     for ((c, i) <- attrs.zipWithIndex) {
-      val vals = enc.select(c).distinct().collect().map(_.getInt(0)).toSet
-      assert(vals == (0 until domainSizes(i)).toSet, s"column $c")
+      val vals = ix.rows.map(_(i)).toSet
+      assert(vals == (0 until ix.domainSizes(i)).toSet, s"column $c")
     }
   }
 
@@ -37,20 +40,14 @@ class EncodingSpec extends SparkSpec {
       assert(ix.rows(i).toSeq == RunningExample.index.rows(i).toSeq, s"rank ${i + 1}")
   }
 
-  test("encoding preserves the rank column") {
-    val (enc, _, _) = Encoding.encode(rankedDf, attrs, "rank")
-    val ranks = enc.select("rank").collect().map(_.getInt(0)).sorted
-    assert(ranks.toSeq == (1 to 16))
-  }
-
   test("null attribute values are encoded via the ∅ sentinel") {
     import spark.implicits._
     val df = Seq((1, Some("a"), 1), (2, None, 2), (3, Some("b"), 3))
       .toDF("id", "x", "rank")
-    val (enc, domainSizes, dicts) = Encoding.encode(df, Seq("x"), "rank")
-    assert(domainSizes == IndexedSeq(3))
-    assert(dicts(0).contains("∅"))
-    assert(enc.select("x").collect().map(_.getInt(0)).toSet == Set(0, 1, 2))
+    val ix = Encoding.index(df, Seq("x"), "rank")
+    assert(ix.domainSizes == IndexedSeq(3))
+    assert(ix.domains(0).contains("∅"))
+    assert(ix.rows.map(_(0)).toSet == Set(0, 1, 2))
   }
 
   test("a column holding the literal null sentinel is rejected by name") {
@@ -59,14 +56,16 @@ class EncodingSpec extends SparkSpec {
       .toDF("ok", "clash", "rank")
     val e = intercept[IllegalArgumentException](Encoding.dictionaries(df, Seq("ok", "clash")))
     assert(e.getMessage.contains("clash") && !e.getMessage.contains("ok"))
-    intercept[IllegalArgumentException](Encoding.index(df.filter($"clash".isNotNull), Seq("clash"), "rank"))
+    val ranked = Seq(("c", 1), ("∅", 2)).toDF("clash", "rank")
+    val ei = intercept[IllegalArgumentException](Encoding.index(ranked, Seq("clash"), "rank"))
+    assert(ei.getMessage.contains("column clash holds the string ∅"), ei.getMessage)
     assert(Encoding.dictionaries(df, Seq("ok")) == IndexedSeq(IndexedSeq("a", "b", "∅")))
   }
 
   test("numeric attribute columns are treated as categorical via string form") {
-    val (_, domainSizes, dicts) = Encoding.encode(rankedDf, Seq("failures"), "rank")
-    assert(domainSizes == IndexedSeq(3))
-    assert(dicts(0) == IndexedSeq("0", "1", "2"))
+    val ix = Encoding.index(rankedDf, Seq("failures"), "rank")
+    assert(ix.domainSizes == IndexedSeq(3))
+    assert(ix.domains(0) == IndexedSeq("0", "1", "2"))
   }
 
   test("one-pass dictionaries equal the per-attribute distinct definition") {
@@ -88,16 +87,17 @@ class EncodingSpec extends SparkSpec {
     assert(dicts(0) == IndexedSeq("a", "b", "∅"))
     assert(dicts(1) == IndexedSeq("1", "20", "3", "∅"))
     assert(dicts(2) == IndexedSeq("∅"))
+    assert(Encoding.index(df, cols, "rank").domains == dicts)
   }
 
   test("round trip: decoding an encoded value yields the original label") {
-    val (enc, _, dicts) = Encoding.encode(rankedDf, attrs, "rank")
-    val first = enc.orderBy("rank").limit(1).collect()(0)
+    val ix = Encoding.index(rankedDf, attrs, "rank")
+    val first = ix.rows(0)
     // rank 1 is student 12: F, GP, U, 0
-    assert(dicts(0)(first.getInt(0)) == "F")
-    assert(dicts(1)(first.getInt(1)) == "GP")
-    assert(dicts(2)(first.getInt(2)) == "U")
-    assert(dicts(3)(first.getInt(3)) == "0")
+    assert(ix.domains(0)(first(0)) == "F")
+    assert(ix.domains(1)(first(1)) == "GP")
+    assert(ix.domains(2)(first(2)) == "U")
+    assert(ix.domains(3)(first(3)) == "0")
   }
 
   test("an empty attribute list gives a width-0 index on which every detector finds nothing") {
@@ -121,8 +121,9 @@ class EncodingSpec extends SparkSpec {
   test("rows are placed by rank, whatever the partitioning and order of the input") {
     val german = BiasDataGen.germanLike(spark, nAttrs = 6)
     for ((df, cols) <- Seq(rankedDf -> attrs, german.df -> german.attrCols)) {
-      val (enc, _, _) = Encoding.encode(df, cols, "rank")
-      val sorted = enc.orderBy("rank").collect().map(r => Array.tabulate(cols.size)(r.getInt)).toSeq
+      // The labels of the frame ordered by rank, null read as ∅.
+      val sorted = df.orderBy("rank").select(cols.map(col(_).cast("string")): _*).collect()
+        .map(r => Seq.tabulate(cols.size)(a => Option(r.getString(a)).getOrElse("∅"))).toSeq
       val inputs = Seq(
         df,
         df.repartition(7),
@@ -131,9 +132,28 @@ class EncodingSpec extends SparkSpec {
       )
       for ((in, i) <- inputs.zipWithIndex) {
         val ix = Encoding.index(in, cols, "rank")
-        assert(ix.rows.map(_.toSeq).toSeq == sorted.map(_.toSeq), s"input $i")
+        val decoded = ix.rows.map(r => Seq.tabulate(cols.size)(a => ix.domains(a)(r(a)))).toSeq
+        assert(decoded == sorted, s"input $i")
       }
     }
+    german.df.unpersist()
+  }
+
+  test("index runs one Spark job on a cached, materialised frame") {
+    val german = BiasDataGen.germanLike(spark, nAttrs = 6)
+    german.df.count()
+    val sc = spark.sparkContext
+    val jobs = new AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+    }
+    TestListenerBus.drain(sc)
+    sc.addSparkListener(listener)
+    try {
+      Encoding.index(german.df, german.attrCols, german.rankCol)
+      TestListenerBus.drain(sc)
+    } finally sc.removeSparkListener(listener)
+    assert(jobs.get == 1)
     german.df.unpersist()
   }
 

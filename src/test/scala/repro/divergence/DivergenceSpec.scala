@@ -2,7 +2,7 @@ package repro.divergence
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.core.{BruteForce, LocalPatternCounter, Pattern, RunningExample}
+import repro.core.{BruteForce, LocalPatternCounter, RunningExample}
 
 class DivergenceSpec extends SparkSpec {
   import RunningExample.p

@@ -87,11 +87,13 @@ class ResultAnalysisSpec extends SparkSpec {
     def label(r: Row, c: String): String = Option(r.getAs[Any](c)).fold(Encoding.NullLabel)(_.toString)
     val meduLabel = rows.map(label(_, "Medu")).distinct.min // value 0 of the sorted dictionary
     val group = rows.filter(label(_, "Medu") == meduLabel)
-    // The surrogate refit here on the encoded rows ordered by rank, and the group's encoded rows.
-    val (enc, domainSizes, _) = Encoding.encode(student.df, attrs, student.rankCol)
-    val byRank = enc.collect().sortBy(_.getInt(attrs.length))
-    val encRows = byRank.map(r => Array.tabulate(attrs.length)(r.getInt))
-    val model = RidgeRegression.fit(encRows, byRank.map(_.getInt(attrs.length).toDouble), attrs, domainSizes)
+    // The surrogate refit here on the collected rows ordered by rank, each
+    // label encoded by its position in its attribute's sorted labels.
+    val dicts = attrs.toIndexedSeq.map(c => rows.map(label(_, c)).distinct.sorted.toIndexedSeq)
+    val byRank = rows.sortBy(_.getAs[Int](student.rankCol))
+    val encRows = byRank.map(r => Array.tabulate(attrs.length)(a => dicts(a).indexOf(label(r, attrs(a)))))
+    val ranks = byRank.map(_.getAs[Int](student.rankCol).toDouble)
+    val model = RidgeRegression.fit(encRows, ranks, attrs, dicts.map(_.size))
     val encGroup = encRows.filter(_(attrs.indexOf("Medu")) == 0)
     assert(encGroup.length == group.length)
     val phis = encGroup.map(Shapley.linearExact(model, _))
