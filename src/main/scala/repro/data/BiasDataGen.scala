@@ -2,6 +2,7 @@ package repro.data
 
 import org.apache.spark.sql.{DataFrame, Encoders, Row, SparkSession}
 import org.apache.spark.sql.catalyst.expressions.GenericRow
+import org.apache.spark.sql.catalyst.util.SQLOrderingUtil
 import org.apache.spark.sql.types._
 import org.apache.spark.unsafe.hash.Murmur3_x86_32
 
@@ -48,34 +49,33 @@ object BiasDataGen {
     require(latentCorr >= -1 && latentCorr <= 1, s"$name: latentCorr out of [-1,1]")
   }
 
-  /** A generated dataset ready for the detection pipeline. */
-  final case class RankedDataset(
-      name: String,
-      df: DataFrame,
-      attrCols: IndexedSeq[String],
-      rankCol: String,
-      scoreCol: String,
-      idCol: String,
-  )
+  /** A generated dataset ready for the detection pipeline, with the
+    * columns of [[schema]].
+    */
+  final case class RankedDataset(name: String, df: DataFrame, attrCols: IndexedSeq[String], rankCol: String)
 
-  /** Schema of a generated dataset before ranking: `row_id`, one int
-    * column per attribute, `score`. The score is nullable, the type Spark
-    * SQL gives an expression over `log`, which is null at or below 0.
+  /** Schema of a generated dataset: `row_id`, one int column per
+    * attribute, `score`, nullable as Spark SQL types an expression over
+    * `log`, and `rank`, the non-null int of `row_number`.
     */
   private def schema(specs: Seq[AttrSpec]): StructType =
     StructType(
       StructField("row_id", LongType, nullable = false) +:
         specs.map(s => StructField(s.name, IntegerType, nullable = false)) :+
-        StructField("score", DoubleType, nullable = true))
+        StructField("score", DoubleType, nullable = true) :+
+        StructField("rank", IntegerType, nullable = false))
 
   /** Generate `n` rows with the given attributes, score them, rank them.
     *
     * score = Σ_j weight_j · value_j/(card_j−1) + noise · randn
     *
-    * Each row is one call of a [[RowDraw]] over `spark.range(n)`: a plain
-    * JVM function is compiled by the JIT, whereas the same draws written
-    * as Catalyst expressions fuse into one generated method too large for
-    * it to compile, which then runs interpreted.
+    * One Spark job collects each row's score by `row_id`, and the driver
+    * ranks them ([[ranks]]). The frame is a second, uncached map over
+    * `spark.range(n)` that draws each row again with its rank, so it keeps
+    * the range's partitions: a row is a pure function of `(row_id, seed)`
+    * (a [[RowDraw]], which the JIT compiles, unlike the same draws as
+    * Catalyst expressions; DESIGN.md §2). `n` must lie in
+    * [0, Int.MaxValue]: the ranks are one driver array.
     */
   def generate(
       spark: SparkSession,
@@ -86,10 +86,25 @@ object BiasDataGen {
       seed: Long,
   ): RankedDataset = {
     require(specs.map(_.name).distinct.size == specs.size, "duplicate attribute names")
+    require(n >= 0 && n <= Int.MaxValue, s"row count $n is outside [0, ${Int.MaxValue}]")
     val draw = new RowDraw(specs, noise, seed)
-    val scored = spark.range(n).map((id: java.lang.Long) => draw(id))(Encoders.row(schema(specs))).toDF()
-    val ranked = Ranker.byScore(scored, "score", "row_id").cache()
-    RankedDataset(name, ranked, specs.map(_.name).toIndexedSeq, "rank", "score", "row_id")
+    val score = (id: java.lang.Long) => draw(id, rank = 0).getDouble(specs.length + 1)
+    // collected in row_id order: the range's partitions hold consecutive ids
+    val rank = ranks(spark.range(n).map(score)(Encoders.scalaDouble).collect())
+    val df = spark.range(n).map((id: java.lang.Long) => draw(id, rank(id.toInt)))(Encoders.row(schema(specs)))
+    RankedDataset(name, df.toDF(), specs.map(_.name).toIndexedSeq, "rank")
+  }
+
+  /** The 1-based rank of each row id, an index of `scores`: its place in
+    * a stable sort by score descending under Spark SQL's double ordering
+    * (NaN first, −0.0 equal to 0.0), so ties keep row-id order, as
+    * `row_number() OVER (ORDER BY score DESC, row_id)` ranks them.
+    */
+  private[data] def ranks(scores: Array[Double]): Array[Int] = {
+    val rank = new Array[Int](scores.length)
+    val order = scores.indices.sortWith((a, b) => SQLOrderingUtil.compareDoubles(scores(a), scores(b)) > 0)
+    for ((id, r) <- order.zipWithIndex) rank(id) = r + 1
+    rank
   }
 
   /** One generated row as a function of its row id.
@@ -131,8 +146,9 @@ object BiasDataGen {
       java.lang.Math.sqrt(-2.0 * java.lang.StrictMath.log(unif(rowId, stream))) *
         java.lang.Math.cos(2.0 * math.Pi * unif(rowId, stream + 1))
 
-    def apply(rowId: Long): Row = {
-      val out = new Array[Any](m + 2)
+    /** Row `rowId` in the column order of [[schema]], `rank` last. */
+    def apply(rowId: Long, rank: Int): Row = {
+      val out = new Array[Any](m + 3)
       out(0) = rowId
       val latentZ = gaussian(rowId, latentStream)
       val value = new Array[Int](m)
@@ -168,6 +184,7 @@ object BiasDataGen {
         t += 1
       }
       out(m + 1) = score + noise * gaussian(rowId, noiseStream)
+      out(m + 2) = rank
       new GenericRow(out)
     }
   }

@@ -1,6 +1,6 @@
 package repro.data
 
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
 import repro.core.DatasetIndex
 
@@ -19,51 +19,65 @@ object Encoding {
 
   /** Per-attribute value dictionaries: sorted distinct string forms, with
     * null as [[NullLabel]]. These are [[index]]'s dictionaries, built by
-    * the same rule from a collect of the labels alone.
+    * the same job and rule without the ranks.
     */
   def dictionaries(df: DataFrame, attrCols: Seq[String]): IndexedSeq[IndexedSeq[String]] =
-    encode(df.select(attrCols.map(col(_).cast("string")): _*).collect(), attrCols, None)._1
+    encode(df, attrCols, None)._1
 
   /** Build the driver-side bitset index from a ranked DataFrame in one
-    * Spark job, the collect of every tuple's labels and rank. The ranks
-    * must be exactly 1..|D|: a null, out-of-range or repeated rank is
-    * rejected.
+    * Spark job. The ranks must be exactly 1..|D|: a null, out-of-range or
+    * repeated rank is rejected.
     */
   def index(df: DataFrame, attrCols: Seq[String], rankCol: String): DatasetIndex = {
-    val labels = attrCols.map(col(_).cast("string")) :+ col(rankCol).cast("int")
-    val (dicts, rows) = encode(df.select(labels: _*).collect(), attrCols, Some(rankCol))
+    val (dicts, rows) = encode(df, attrCols, Some(rankCol))
     new DatasetIndex(rows, dicts.map(_.size), attrCols.toIndexedSeq, dicts)
   }
 
-  /** Dictionaries and codes of `collected`, whose rows hold each
-    * attribute's string label (null for null) and, with a `rankCol`, the
-    * rank last, so that the row ranked r is written at r − 1 and no sort
-    * runs. Codes are given in order of first sight, then in label order.
+  /** One partition's encoding: per attribute, its labels (null for null)
+    * in order of first sight, which is their code; its rows' codes, row
+    * after row; each row's rank, 0 for a null, which `nullRank` flags.
     */
-  private def encode(collected: Array[Row], attrCols: Seq[String], rankCol: Option[String])
+  private final case class Part(
+      labels: Array[Array[String]], codes: Array[Int], ranks: Array[Int], nullRank: Boolean)
+
+  /** Dictionaries and, with a `rankCol`, the rows' codes in rank order,
+    * from one job in which each partition encodes its rows' string labels.
+    * The driver merges the partitions' dictionaries (labels in string
+    * order), remaps their codes and writes the row ranked r at r − 1.
+    */
+  private def encode(df: DataFrame, attrCols: Seq[String], rankCol: Option[String])
       : (IndexedSeq[IndexedSeq[String]], Array[Array[Int]]) = {
     val w = attrCols.length
-    val firstSeen = Array.fill(w)(new java.util.HashMap[String, Integer])
-    val rows = new Array[Array[Int]](collected.length)
-    for ((r, i) <- collected.zipWithIndex) {
-      val pos = rankCol.fold(i) { c =>
-        require(!r.isNullAt(w), s"rank column $c holds a null")
-        val rank = r.getInt(w)
+    val labelsAndRank = attrCols.map(col(_).cast("string")) ++ rankCol.map(col(_).cast("int"))
+    val parts = df.select(labelsAndRank: _*).rdd.mapPartitions { it =>
+      val firstSeen = Array.fill(w)(new java.util.LinkedHashMap[String, Integer])
+      val (codes, ranks) = (Array.newBuilder[Int], Array.newBuilder[Int])
+      var nullRank = false
+      for (r <- it) {
+        for (a <- 0 until w) codes += firstSeen(a).computeIfAbsent(r.getString(a), _ => firstSeen(a).size)
+        if (rankCol.isDefined) ranks += (if (r.isNullAt(w)) { nullRank = true; 0 } else r.getInt(w))
+      }
+      val labels = firstSeen.map(_.keySet.toArray(new Array[String](0)))
+      Iterator.single(Part(labels, codes.result(), ranks.result(), nullRank))
+    }.collect()
+
+    def shown(label: String) = if (label == null) NullLabel else label
+    val dicts = attrCols.indices.map { a =>
+      val labels = parts.flatMap(_.labels(a)).distinct
+      require(!labels.contains(NullLabel),
+        s"column ${attrCols(a)} holds the string $NullLabel, which is reserved for null")
+      labels.map(shown).sorted.toIndexedSeq
+    }
+    val rows = new Array[Array[Int]](parts.map(_.ranks.length).sum)
+    for (c <- rankCol; p <- parts) {
+      require(!p.nullRank, s"rank column $c holds a null")
+      // the partition's codes in the merged dictionaries
+      val remap = Array.tabulate(w)(a => p.labels(a).map(l => dicts(a).search(shown(l)).insertionPoint))
+      for ((rank, j) <- p.ranks.zipWithIndex) {
         require(rank >= 1 && rank <= rows.length, s"rank column $c holds $rank, outside [1, ${rows.length}]")
         require(rows(rank - 1) == null, s"rank column $c holds $rank twice")
-        rank - 1
+        rows(rank - 1) = Array.tabulate(w)(a => remap(a)(p.codes(j * w + a)))
       }
-      rows(pos) = Array.tabulate(w)(a => firstSeen(a).computeIfAbsent(r.getString(a), _ => firstSeen(a).size))
-    }
-    val dicts = attrCols.indices.map { a =>
-      require(!firstSeen(a).containsKey(NullLabel),
-        s"column ${attrCols(a)} holds the string $NullLabel, which is reserved for null")
-      val labels = new Array[String](firstSeen(a).size)
-      firstSeen(a).forEach((label, code) => labels(code) = if (label == null) NullLabel else label)
-      val order = labels.indices.sortBy(labels(_)) // first-sight codes in label order
-      val renumbered = order.indices.sortBy(order(_)).toArray // its inverse
-      rows.foreach(codes => codes(a) = renumbered(codes(a)))
-      order.map(labels(_))
     }
     (dicts, rows)
   }

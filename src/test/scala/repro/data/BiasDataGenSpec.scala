@@ -1,5 +1,6 @@
 package repro.data
 
+import org.apache.spark.TestListenerBus
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.core.{GlobalLowerBound, IterTD, LocalPatternCounter}
@@ -114,8 +115,8 @@ class BiasDataGenSpec extends SparkSpec {
   private def assertSameAsOracle(got: BiasDataGen.RankedDataset, want: BiasDataGen.RankedDataset): Unit =
     try {
       assert(got.df.schema == want.df.schema)
-      assert((got.attrCols, got.rankCol, got.scoreCol, got.idCol) == (want.attrCols, want.rankCol, want.scoreCol, want.idCol))
-      def rows(ds: BiasDataGen.RankedDataset) = ds.df.orderBy(ds.idCol).collect().toSeq.map(_.toSeq.map {
+      assert((got.attrCols, got.rankCol) == (want.attrCols, want.rankCol))
+      def rows(ds: BiasDataGen.RankedDataset) = ds.df.orderBy("row_id").collect().toSeq.map(_.toSeq.map {
         case d: Double => java.lang.Double.doubleToRawLongBits(d)
         case v => v
       })
@@ -123,10 +124,7 @@ class BiasDataGenSpec extends SparkSpec {
       assert(g.size == w.size)
       val firstDiff = g.indices.find(i => g(i) != w(i))
       assert(firstDiff.isEmpty, firstDiff.map(i => s"row_id $i: ${g(i)} vs ${w(i)}").getOrElse(""))
-    } finally {
-      got.df.unpersist()
-      want.df.unpersist()
-    }
+    } finally want.df.unpersist()
 
   test("compas-, student- and german-like data equal the expression-built generator's, at three seeds each") {
     for (seed <- Seq(42L, 1L, 7L))
@@ -149,5 +147,58 @@ class BiasDataGenSpec extends SparkSpec {
     val specs = Seq(BiasDataGen.AttrSpec("a", 3, latentCorr = -0.4), BiasDataGen.AttrSpec("b", 2))
     assertSameAsOracle(BiasDataGen.generate(spark, "flat", 500, specs, 0.2, 9),
       GeneratorOracle.generate(spark, "flat", 500, specs, 0.2, 9))
+  }
+
+  test("tie-heavy data without noise equal the expression-built generator's, signed zeros tied") {
+    // score = −0.5 · a/2 + 0.0 · randn: three tie blocks, the top one of
+    // −0.0 and +0.0 (the sign of the zero noise term) mixed.
+    val specs = Seq(BiasDataGen.AttrSpec("a", 3, weight = -0.5), BiasDataGen.AttrSpec("b", 2, latentCorr = 0.3))
+    val got = BiasDataGen.generate(spark, "ties", 3001, specs, 0.0, 4)
+    val zeros = got.df.filter(col("a") === 0).select("score").collect()
+      .map(r => java.lang.Double.doubleToRawLongBits(r.getDouble(0))).toSet
+    assert(zeros == Set(0L, java.lang.Double.doubleToRawLongBits(-0.0)), "both signed zeros occur")
+    assertSameAsOracle(got, GeneratorOracle.generate(spark, "ties", 3001, specs, 0.0, 4))
+  }
+
+  test("without a scoring attribute or noise every score ties, and rank is row_id + 1") {
+    val specs = Seq(BiasDataGen.AttrSpec("a", 4), BiasDataGen.AttrSpec("b", 2, latentCorr = -0.6))
+    val got = BiasDataGen.generate(spark, "flat", 1500, specs, 0.0, 3)
+    val rows = got.df.select("row_id", "rank").collect()
+    assert(rows.length == 1500 && rows.forall(r => r.getInt(1) == r.getLong(0) + 1))
+    assertSameAsOracle(got, GeneratorOracle.generate(spark, "flat", 1500, specs, 0.0, 3))
+  }
+
+  test("driver ranks equal the window's on NaN, infinities, signed zeros and ties") {
+    import spark.implicits._
+    val nan = java.lang.Double.longBitsToDouble(0x7ff0000000000abcL) // not the canonical NaN
+    val scores = Array(0.0, -0.0, Double.NaN, 1.5, Double.NegativeInfinity, -0.0, nan, 1.5,
+      Double.PositiveInfinity, -2.0, 0.0, Double.MinPositiveValue, -Double.MinPositiveValue, Double.NaN)
+    val window = Ranker.byScore(scores.toSeq.zipWithIndex.map { case (s, i) => (i.toLong, s) }.toDF("id", "s"), "s", "id")
+      .orderBy("id").select("rank").collect().map(_.getInt(0)).toSeq
+    assert(BiasDataGen.ranks(scores).toSeq == window)
+    assert(BiasDataGen.ranks(Array.empty).isEmpty)
+  }
+
+  test("generate rejects a row count outside [0, Int.MaxValue] before any Spark job") {
+    for (n <- Seq(-1L, Int.MaxValue + 1L, Long.MaxValue)) {
+      val (e, jobs) = TestListenerBus.jobsDuring(spark.sparkContext)(intercept[IllegalArgumentException](
+        BiasDataGen.generate(spark, "bad", n, Seq(BiasDataGen.AttrSpec("x", 2)), 0.1, 1)))
+      assert(e.getMessage.contains(n.toString), e.getMessage)
+      assert(jobs == 0, s"n = $n")
+    }
+    assert(BiasDataGen.generate(spark, "empty", 0, Seq(BiasDataGen.AttrSpec("x", 2)), 0.1, 1).df.count() == 0)
+  }
+
+  test("set-up keeps the range's partitions and runs 4 Spark jobs: no global window") {
+    val (ds, jobs) = TestListenerBus.jobsDuring(spark.sparkContext) {
+      val ds = BiasDataGen.germanLike(spark)
+      ds.df.count()
+      Encoding.index(ds.df, ds.attrCols, ds.rankCol)
+      ds
+    }
+    // one collect of the scores; count's exchange and result under
+    // adaptive execution; one index job
+    assert(jobs == 4)
+    assert(ds.df.rdd.getNumPartitions > 1)
   }
 }

@@ -1,9 +1,9 @@
 package repro.data
 
-import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.TestListenerBus
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types._
 import repro.SparkSpec
 import repro.core._
 import repro.divergence.DivergenceExplorer
@@ -139,22 +139,10 @@ class EncodingSpec extends SparkSpec {
     german.df.unpersist()
   }
 
-  test("index runs one Spark job on a cached, materialised frame") {
+  test("index runs one Spark job on a generated frame") {
     val german = BiasDataGen.germanLike(spark, nAttrs = 6)
-    german.df.count()
-    val sc = spark.sparkContext
-    val jobs = new AtomicInteger
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
-    }
-    TestListenerBus.drain(sc)
-    sc.addSparkListener(listener)
-    try {
-      Encoding.index(german.df, german.attrCols, german.rankCol)
-      TestListenerBus.drain(sc)
-    } finally sc.removeSparkListener(listener)
-    assert(jobs.get == 1)
-    german.df.unpersist()
+    val (_, jobs) = TestListenerBus.jobsDuring(spark.sparkContext)(Encoding.index(german.df, german.attrCols, german.rankCol))
+    assert(jobs == 1)
   }
 
   test("a rank gap, a repeated rank or a null rank is rejected, naming the rank column") {
@@ -167,5 +155,51 @@ class EncodingSpec extends SparkSpec {
     }
     assert(Encoding.index(ranked(Some(3), Some(1), Some(2)), Seq("x"), "pos").rows.map(_.toSeq).toSeq ==
       Seq(Seq(1), Seq(2), Seq(0)))
+  }
+
+  /** A frame of `(x, rank)` rows split into partitions as given. */
+  private def partitioned(parts: Seq[(String, Int)]*): DataFrame = {
+    val rows = parts.flatten.map { case (x, r) => Row(x, r) }
+    val schema = StructType(Seq(StructField("x", StringType), StructField("rank", IntegerType)))
+    val df = spark.createDataFrame(spark.sparkContext.parallelize(rows, parts.size), schema)
+    // parallelize cuts a sequence evenly, so equal-sized parts are kept as given
+    assert(df.rdd.glom().collect().map(_.map(r => (r.getString(0), r.getInt(1))).toSeq).toSeq == parts)
+    df
+  }
+
+  /** Asserts that `index` decodes each rank back to its label and that
+    * `dictionaries` equals the index's domains.
+    */
+  private def assertPartitionedEncoding(df: DataFrame): Unit = {
+    val want = df.collect().map(r => r.getInt(1) -> Option(r.getString(0)).getOrElse("∅")).sortBy(_._1).map(_._2).toSeq
+    val ix = Encoding.index(df, Seq("x"), "rank")
+    assert(ix.rows.map(r => ix.domains(0)(r(0))).toSeq == want)
+    assert(ix.domains(0) == want.distinct.sorted)
+    assert(Encoding.dictionaries(df, Seq("x")) == ix.domains)
+  }
+
+  test("a label seen in one partition only gets its code in the merged dictionary") {
+    assertPartitionedEncoding(partitioned(
+      Seq("b" -> 4, "a" -> 1), Seq("a" -> 6, "c" -> 2), Seq("b" -> 3, "a" -> 5)))
+  }
+
+  test("null seen in some partitions only is encoded as ∅ in every partition") {
+    assertPartitionedEncoding(partitioned(
+      Seq("b" -> 2, (null, 5)), Seq("a" -> 1, "b" -> 6), Seq((null, 3), "a" -> 4)))
+  }
+
+  test("empty partitions add nothing to the dictionaries or rows") {
+    val df = partitioned(Seq("b" -> 3, (null, 1), "a" -> 2)).repartition(8)
+    assert(df.rdd.glom().collect().count(_.isEmpty) >= 5)
+    assertPartitionedEncoding(df)
+  }
+
+  test("a ∅ seen in the last partition only is rejected by column name") {
+    val df = partitioned(Seq("a" -> 1, "b" -> 2), Seq("a" -> 3, "b" -> 4), Seq("c" -> 5, "∅" -> 6))
+      .withColumnRenamed("x", "clash")
+    val e = intercept[IllegalArgumentException](Encoding.dictionaries(df, Seq("clash")))
+    assert(e.getMessage.contains("column clash holds the string ∅"), e.getMessage)
+    val ei = intercept[IllegalArgumentException](Encoding.index(df, Seq("clash"), "rank"))
+    assert(ei.getMessage.contains("column clash holds the string ∅"), ei.getMessage)
   }
 }

@@ -58,6 +58,6 @@ object GeneratorOracle {
       .getOrElse(lit(0.0)) + lit(noise) * gaussian(seed * 1000L + 7919L)
     val scored = withAttrs.withColumn("score", score)
     val ranked = Ranker.byScore(scored, "score", "row_id").cache()
-    RankedDataset(name, ranked, specs.map(_.name).toIndexedSeq, "rank", "score", "row_id")
+    RankedDataset(name, ranked, specs.map(_.name).toIndexedSeq, "rank")
   }
 }

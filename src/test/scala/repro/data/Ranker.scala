@@ -4,8 +4,9 @@ import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
-/** Score-based ranking algorithms `R` (treated as black boxes by the
-  * detection algorithms, exactly as in the paper).
+/** Score-based ranking `R` as a Spark window: the ranking oracle that
+  * [[BiasDataGen.generate]]'s driver-side ranks must reproduce (through
+  * [[GeneratorOracle]]), and the ranker of the Figure 1 tests.
   */
 object Ranker {
 
@@ -13,10 +14,9 @@ object Ranker {
     * `tieBreak` columns and finally by `idCol` so ranking is total and
     * deterministic. Adds a dense 1-based `rankCol` via `row_number`.
     *
-    * The window is unpartitioned — a global sort — which is the correct
-    * semantics for a total ranking; our evaluation datasets are small
-    * enough for the single-partition window the optimizer will warn
-    * about.
+    * The window is unpartitioned, a global sort that moves every row to
+    * one partition: the semantics of a total ranking, at the cost of one
+    * task over all rows.
     */
   def byScore(
       df: DataFrame,
