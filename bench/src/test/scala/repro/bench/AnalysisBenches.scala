@@ -1,7 +1,16 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.Experiments
+import repro.exp.{Experiments, Tables}
+import repro.shapley.ResultAnalysis
+
+/** Figure 10's explanations, shared by T4 and T5: computed once per bench
+  * JVM, by the first of the two suites to run.
+  */
+object Figure10 {
+  lazy val explanations: Seq[(String, ResultAnalysis.Explanation)] =
+    Experiments.t4Shapley(SparkSpec.shared)
+}
 
 /** T4 — Figure 10a–c: aggregated Shapley values of groups detected by
   * GLOBALBOUNDS at k = 49, L_k = 40, per dataset.
@@ -9,9 +18,8 @@ import repro.exp.Experiments
 class T4ShapleyBench extends SparkSpec {
 
   test("T4: aggregated Shapley values of detected groups (Figure 10a-c)") {
-    val explanations = Experiments.t4Shapley(spark)
-    for ((name, ex) <- explanations) println(Experiments.renderShapley(name, ex))
-    val byName = explanations.toMap
+    println(Tables.t4(Figure10.explanations))
+    val byName = Figure10.explanations.toMap
     // Paper: the attribute actually used for ranking tops the attribution.
     assert(byName("student").topAttr == "G3",
       s"student top attr: ${byName("student").aggShapley.take(3)}")
@@ -32,8 +40,8 @@ class T4ShapleyBench extends SparkSpec {
 class T5DistributionBench extends SparkSpec {
 
   test("T5: value distributions, top-k vs detected group (Figure 10d-f)") {
-    for ((name, ex) <- Experiments.t4Shapley(spark)) {
-      println(Experiments.renderDistribution(name, ex))
+    println(Tables.t5(Figure10.explanations))
+    for ((name, ex) <- Figure10.explanations) {
       // Paper: the distributions differ vastly between top-k and group.
       val l1 = ex.groupDist.zip(ex.topkDist).map { case ((_, g), (_, t)) => math.abs(g - t) }.sum
       assert(l1 > 0.25, s"$name: top-k and group distributions unexpectedly close (L1=$l1)")
@@ -46,7 +54,7 @@ class T6CaseStudyBench extends SparkSpec {
 
   test("T6: case study vs the divergence method (VI-D)") {
     val cs = Experiments.t6CaseStudy(spark)
-    println(Experiments.renderCaseStudy(cs))
+    println(Tables.t6(cs))
 
     // Shape assertions mirroring the paper's qualitative findings:
     // 1. PROPBOUNDS is more selective than GLOBALBOUNDS, and each of its

@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.Experiments
+import repro.exp.{Experiments, Tables}
 
 /** Shared knobs for the bench suites. */
 object BenchConfig {
@@ -30,26 +30,16 @@ class T1AttributesBench extends SparkSpec {
 
   test("T1: runtime vs #attributes (Figures 4-5)") {
     val rows = Experiments.t1Attributes(spark, BenchConfig.timeoutMs)
-    println(Experiments.renderTimings("T1 / Figures 4-5: runtime vs #attributes", rows))
-    println(Experiments.renderUnder100(rows))
+    println(Tables.t1(rows))
     BenchConfig.assertSameResSizes(rows)
 
     // Shape check (paper: optimized algorithms outperform ITERTD): at the
     // largest point where both completed, the optimized algorithm's time
     // must not exceed the baseline's by more than noise.
-    for (((ds, prob), rs) <- rows.groupBy(r => (r.dataset, r.problem))) {
-      val base = rs.filter(r => r.algo == "IterTD" && !r.timedOut)
-      val opt  = rs.filter(r => r.algo != "IterTD" && !r.timedOut)
-      val common = base.map(_.param).toSet.intersect(opt.map(_.param).toSet)
-      if (common.nonEmpty) {
-        val k = common.max
-        val b = base.find(_.param == k).get
-        val o = opt.find(_.param == k).get
-        assert(o.millis <= b.millis * 1.5 + 250,
-          s"$ds/$prob at $k attrs: optimized ${o.millis}ms vs baseline ${b.millis}ms")
-        assert(o.examined <= b.examined,
-          s"$ds/$prob at $k attrs: optimized examined more patterns than the baseline")
-      }
+    for ((b, o) <- Experiments.largestCommonPoint(rows)) {
+      val at = s"${b.dataset}/${b.problem} at ${b.param} attrs"
+      assert(o.millis <= b.millis * 1.5 + 250, s"$at: optimized ${o.millis}ms vs baseline ${b.millis}ms")
+      assert(o.examined <= b.examined, s"$at: optimized examined more patterns than the baseline")
     }
     // The baseline must never finish where the optimized one timed out.
     for (((ds, prob), rs) <- rows.groupBy(r => (r.dataset, r.problem))) {
@@ -65,7 +55,7 @@ class T2ThresholdBench extends SparkSpec {
 
   test("T2: runtime vs size threshold (Figures 6-7)") {
     val rows = Experiments.t2Threshold(spark, BenchConfig.timeoutMs)
-    println(Experiments.renderTimings("T2 / Figures 6-7: runtime vs size threshold", rows))
+    println(Tables.t2(rows))
     BenchConfig.assertSameResSizes(rows)
 
     // Shape: runtime decreases (weakly, modulo noise floor) as τ_s grows.
@@ -84,9 +74,8 @@ class T3KRangeBench extends SparkSpec {
 
   test("T3: runtime vs k range (Figures 8-9) and examined gain") {
     val rows = Experiments.t3KRange(spark, BenchConfig.timeoutMs)
-    println(Experiments.renderTimings("T3 / Figures 8-9: runtime vs k range", rows))
+    println(Tables.t3(rows))
     val gains = Experiments.examinedGains(rows)
-    println(Experiments.renderGains(gains))
     BenchConfig.assertSameResSizes(rows)
 
     assert(gains.nonEmpty, "no configuration completed for both algorithms")

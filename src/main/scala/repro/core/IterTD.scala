@@ -49,10 +49,10 @@ object IterTD {
     var k = kMin
     var timedOut = false
     while (k <= kMax && !timedOut) {
-      val snap = TopDownSearch.snapshot(tree, tree.search(Seq(tree.root), k, budget))
-      examined += snap.examined
-      timedOut = snap.timedOut
-      if (!timedOut) res += k -> snap.res.toSet
+      val found = tree.search(Seq(tree.root), k, budget)
+      examined += found.examined
+      timedOut = found.timedOut
+      if (!timedOut) res += k -> TopDownSearch.snapshot(tree, found)
       k += 1
     }
     DetectionResult(res, examined, timedOut)

@@ -218,36 +218,15 @@ object TopDownSearch {
     }
   }
 
-  /** One single-k top-down search: `res` holds the most general biased patterns in visit order. */
-  final case class Snapshot(res: Vector[Pattern], examined: Long, timedOut: Boolean)
-
-  /** Algorithm 1 for a single k, starting from the root's children of a
-    * fresh tree.
-    *
-    * @throws IllegalArgumentException if `tauS < 1` or `k` is outside
-    *         `[1, |D|]`
-    */
-  def singleK(
-      counter: PatternCounter,
-      bound: BiasBound,
-      tauS: Long,
-      k: Int,
-      budget: Budget = Budget.unlimited,
-  ): Snapshot = {
-    requireValid(counter, tauS, k, k)
-    val tree = new Tree(counter, bound, tauS)
-    snapshot(tree, tree.search(Seq(tree.root), k, budget))
-  }
-
   /** `Res` of a search of `tree` from its root, which opens nodes level
     * by level, so each is marked clean after its parents. The marks are
     * cleared again: a node a later search does not open is not clean.
     */
-  private[core] def snapshot(tree: Tree, found: Found): Snapshot = {
+  private[core] def snapshot(tree: Tree, found: Found): Set[Pattern] = {
     found.opened.foreach(n => n.clean = tree.parentsClean(n))
-    val res = found.biased.filter(tree.parentsClean).map(_.p)
+    val res = found.biased.iterator.filter(tree.parentsClean).map(_.p).toSet
     found.opened.foreach(_.clean = false)
-    Snapshot(res, found.examined, found.timedOut)
+    res
   }
 
   /** Rejects the inputs no search accepts: `τ_s < 1`, and a k range

@@ -75,7 +75,7 @@ object MostGeneralFixture {
   def dres(counter: PatternCounter, bound: BiasBound, tauS: Long, k: Int): Set[Pattern] = {
     val tree = new TopDownSearch.Tree(counter, bound, tauS)
     val reached = tree.search(Seq(tree.root), k, Budget.unlimited).biased.map(_.p).toSet
-    reached -- TopDownSearch.singleK(counter, bound, tauS, k).res
+    reached -- IterTD.run(counter, bound, tauS, k, k).resByK(k)
   }
 }
 

@@ -41,7 +41,7 @@ class GlobalBoundsSpec extends AnyFunSuite {
   test("single-k run equals the plain top-down search") {
     val bound = GlobalLowerBound(_ => 2.0)
     val a = GlobalBounds.run(counter, bound, 4, 4, 4).resByK(4)
-    val b = TopDownSearch.singleK(counter, bound, 4, 4).res.toSet
+    val b = IterTD.run(counter, bound, 4, 4, 4).resByK(4)
     assert(a == b)
   }
 

@@ -19,7 +19,7 @@ class PropBoundsSpec extends AnyFunSuite {
 
   test("single-k run equals the plain top-down search") {
     val got = PropBounds.run(counter, 0.9, 5, 4, 4).resByK(4)
-    val b = TopDownSearch.singleK(counter, ProportionalLowerBound(0.9, 16), 5, 4).res.toSet
+    val b = IterTD.run(counter, ProportionalLowerBound(0.9, 16), 5, 4, 4).resByK(4)
     assert(got == b)
   }
 

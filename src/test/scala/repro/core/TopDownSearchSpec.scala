@@ -8,12 +8,16 @@ class TopDownSearchSpec extends AnyFunSuite {
   private val ix = RunningExample.index
   private val counter = new LocalPatternCounter(ix)
 
+  /** `Res[k]` of Algorithm 1 at one k: a single-k ITERTD run. */
+  private def res(c: PatternCounter, bound: BiasBound, tauS: Long, k: Int): Set[Pattern] =
+    IterTD.run(c, bound, tauS, k, k).resByK(k)
+
   // ---- Example 4.6 (global bounds, τ_s = 4, L_4 = L_5 = 2) ----
 
   private val g2 = GlobalLowerBound(_ => 2.0)
 
   test("Example 4.6: Res[4] for global bounds") {
-    val snap = TopDownSearch.singleK(counter, g2, tauS = 4, k = 4)
+    val got = res(counter, g2, tauS = 4, k = 4)
     val expected = Set(
       p(1 -> 0),           // School=GP
       p(2 -> 1),           // Address=U
@@ -22,7 +26,7 @@ class TopDownSearchSpec extends AnyFunSuite {
       p(0 -> 0, 1 -> 1),   // Gender=F, School=MS
       p(0 -> 0, 2 -> 0),   // Gender=F, Address=R
     )
-    assert(snap.res.toSet == expected)
+    assert(got == expected)
   }
 
   test("Example 4.6: DRes[4] contains the four patterns named in the paper") {
@@ -46,11 +50,11 @@ class TopDownSearchSpec extends AnyFunSuite {
   }
 
   test("Res and DRes are disjoint; DRes members are dominated by Res members") {
-    val snap = TopDownSearch.singleK(counter, g2, tauS = 4, k = 4)
+    val r4 = res(counter, g2, tauS = 4, k = 4)
     val dr = dres(counter, g2, tauS = 4, k = 4)
-    assert(snap.res.toSet.intersect(dr).isEmpty)
-    assert(dr.forall(d => snap.res.exists(_.strictlySubsumes(d))))
-    assert(snap.res.forall(r => !snap.res.exists(_.strictlySubsumes(r))))
+    assert(r4.intersect(dr).isEmpty)
+    assert(dr.forall(d => r4.exists(_.strictlySubsumes(d))))
+    assert(r4.forall(r => !r4.exists(_.strictlySubsumes(r))))
   }
 
   // ---- Example 4.9 (proportional, τ_s = 5, α = 0.9) ----
@@ -58,13 +62,11 @@ class TopDownSearchSpec extends AnyFunSuite {
   private def prop09 = ProportionalLowerBound(0.9, ix.size.toLong)
 
   test("Example 4.9: Res[4] for proportional bounds is exactly {School=GP},{Address=U},{Failures=1}") {
-    val snap = TopDownSearch.singleK(counter, prop09, tauS = 5, k = 4)
-    assert(snap.res.toSet == Set(p(1 -> 0), p(2 -> 1), p(3 -> 1)))
+    assert(res(counter, prop09, tauS = 5, k = 4) == Set(p(1 -> 0), p(2 -> 1), p(3 -> 1)))
   }
 
   test("Example 4.9: Res[5] adds {Gender=F}") {
-    val snap = TopDownSearch.singleK(counter, prop09, tauS = 5, k = 5)
-    assert(snap.res.toSet == Set(p(0 -> 0), p(1 -> 0), p(2 -> 1), p(3 -> 1)))
+    assert(res(counter, prop09, tauS = 5, k = 5) == Set(p(0 -> 0), p(1 -> 0), p(2 -> 1), p(3 -> 1)))
   }
 
   test("Example 4.7: k̃ of {Gender=F} with count 2 is 5") {
@@ -122,44 +124,42 @@ class TopDownSearchSpec extends AnyFunSuite {
   // ---- engine behaviour ----
 
   test("τ_s above dataset size yields an empty result") {
-    val snap = TopDownSearch.singleK(counter, g2, tauS = 17, k = 4)
-    assert(snap.res.isEmpty && dres(counter, g2, tauS = 17, k = 4).isEmpty)
+    assert(res(counter, g2, tauS = 17, k = 4).isEmpty && dres(counter, g2, tauS = 17, k = 4).isEmpty)
   }
 
   test("bound 0 yields no biased patterns") {
-    val snap = TopDownSearch.singleK(counter, GlobalLowerBound(_ => 0.0), tauS = 1, k = 4)
-    assert(snap.res.isEmpty)
+    assert(res(counter, GlobalLowerBound(_ => 0.0), tauS = 1, k = 4).isEmpty)
   }
 
   test("huge bound reports exactly the most general level-1 patterns") {
-    val snap = TopDownSearch.singleK(counter, GlobalLowerBound(_ => 100.0), tauS = 1, k = 4)
+    val got = res(counter, GlobalLowerBound(_ => 100.0), tauS = 1, k = 4)
     // every level-1 pattern is biased, so Res is all of them, nothing deeper
-    assert(snap.res.toSet == Pattern.root(4).searchTreeChildren(ix.domainSizes).toSet)
+    assert(got == Pattern.root(4).searchTreeChildren(ix.domainSizes).toSet)
     assert(dres(counter, GlobalLowerBound(_ => 100.0), tauS = 1, k = 4).isEmpty)
   }
 
   test("examined counts the counted patterns (level-1 at minimum)") {
-    val snap = TopDownSearch.singleK(counter, GlobalLowerBound(_ => 100.0), tauS = 1, k = 4)
-    assert(snap.examined == 9) // only level 1 counted, all biased
+    val run = IterTD.run(counter, GlobalLowerBound(_ => 100.0), tauS = 1, kMin = 4, kMax = 4)
+    assert(run.examined == 9) // only level 1 counted, all biased
   }
 
-  test("singleK rejects τ_s < 1 and k outside [1, |D|]") {
+  test("single-k search rejects τ_s < 1 and k outside [1, |D|]") {
     for (tauS <- Seq(0L, -3L)) {
-      val e = intercept[IllegalArgumentException](TopDownSearch.singleK(counter, g2, tauS, k = 4))
+      val e = intercept[IllegalArgumentException](res(counter, g2, tauS, k = 4))
       assert(e.getMessage.contains(s"τ_s must be at least 1, got $tauS"))
     }
     for (k <- Seq(0, -1, 17)) {
-      val e = intercept[IllegalArgumentException](TopDownSearch.singleK(counter, g2, tauS = 4, k = k))
+      val e = intercept[IllegalArgumentException](res(counter, g2, tauS = 4, k = k))
       assert(e.getMessage.contains(s"bad range [$k,$k]"))
     }
   }
 
   test("expired budget returns timedOut") {
-    val snap = TopDownSearch.singleK(counter, g2, tauS = 1, k = 4, budget = Budget.ofMillis(-1))
-    assert(snap.timedOut)
+    val run = IterTD.run(counter, g2, tauS = 1, kMin = 4, kMax = 4, budget = Budget.ofMillis(-1))
+    assert(run.timedOut)
   }
 
-  test("singleK against brute force on random data (global bounds)") {
+  test("single-k search vs brute force on random data (global bounds)") {
     for (seed <- 0 until 15) {
       val rix = RandomData.index(seed, n = 40, m = 4)
       val c = new LocalPatternCounter(rix)
@@ -167,13 +167,13 @@ class TopDownSearchSpec extends AnyFunSuite {
       val tauS = 3 + seed % 4
       for (k <- Seq(5, 11, 20)) {
         val expect = BruteForce.run(rix, bound, tauS, k, k)(k)
-        val got = TopDownSearch.singleK(c, bound, tauS, k).res.toSet
+        val got = res(c, bound, tauS, k)
         assert(got == expect, s"seed=$seed k=$k")
       }
     }
   }
 
-  test("singleK against brute force on random data (proportional bounds)") {
+  test("single-k search vs brute force on random data (proportional bounds)") {
     for (seed <- 0 until 15) {
       val rix = RandomData.index(seed + 100, n = 40, m = 4)
       val c = new LocalPatternCounter(rix)
@@ -181,7 +181,7 @@ class TopDownSearchSpec extends AnyFunSuite {
       val tauS = 3 + seed % 4
       for (k <- Seq(5, 11, 20)) {
         val expect = BruteForce.run(rix, bound, tauS, k, k)(k)
-        val got = TopDownSearch.singleK(c, bound, tauS, k).res.toSet
+        val got = res(c, bound, tauS, k)
         assert(got == expect, s"seed=$seed k=$k")
       }
     }

@@ -6,10 +6,10 @@ import repro.data.{BiasDataGen, Encoding}
 import repro.divergence.DivergenceExplorer
 import repro.shapley.ResultAnalysis
 
-/** Experiment runners reproducing the paper's evaluation (Section VI).
-  * One public entry point per reproduced table; jobs/ mains and the
-  * bench suites are thin wrappers around these. Paper reference numbers
-  * are recorded alongside measurements in EXPERIMENTS.md.
+/** Experiment runners reproducing the paper's evaluation (Section VI):
+  * one public entry point per reproduced table, run by the bench suites
+  * and printed by [[Tables]]. Paper reference numbers are recorded
+  * alongside measurements in EXPERIMENTS.md.
   */
 object Experiments {
 
@@ -137,6 +137,18 @@ object Experiments {
                      DefaultTauS, DefaultKMin, kMax.toInt), timeoutMs)
   }
 
+  /** Per dataset and problem, in that order, ITERTD's row and the
+    * optimized algorithm's row at the largest sweep point where both
+    * completed; nothing for a pair with no such point.
+    */
+  def largestCommonPoint(rows: Seq[TimingRow]): Seq[(TimingRow, TimingRow)] =
+    rows.groupBy(r => (r.dataset, r.problem)).toSeq.sortBy(_._1).flatMap { case (_, rs) =>
+      val base = rs.filter(r => r.algo == "IterTD" && !r.timedOut)
+      val opt  = rs.filter(r => r.algo != "IterTD" && !r.timedOut)
+      val common = base.map(_.param).toSet.intersect(opt.map(_.param).toSet)
+      common.maxOption.map(k => (base.find(_.param == k).get, opt.find(_.param == k).get))
+    }
+
   /** Patterns-examined gain of the optimized algorithm vs ITERTD,
     * per dataset and problem, at the largest k-range point both
     * completed. Mirrors the percentages quoted in Section VI-B.
@@ -147,19 +159,7 @@ object Experiments {
   }
 
   def examinedGains(rows: Seq[TimingRow]): Seq[GainRow] =
-    rows.groupBy(r => (r.dataset, r.problem)).toSeq.sortBy(_._1).flatMap {
-      case ((ds, prob), rs) =>
-        val base = rs.filter(r => r.algo == "IterTD" && !r.timedOut)
-        val opt  = rs.filter(r => r.algo != "IterTD" && !r.timedOut)
-        val common = base.map(_.param).toSet.intersect(opt.map(_.param).toSet)
-        if (common.isEmpty) None
-        else {
-          val k = common.max
-          Some(GainRow(ds, prob, k,
-            base.find(_.param == k).get.examined,
-            opt.find(_.param == k).get.examined))
-        }
-    }
+    largestCommonPoint(rows).map { case (b, o) => GainRow(b.dataset, b.problem, b.param, b.examined, o.examined) }
 
   /** Section III claim: in 97.58 % of cases fewer than 100 groups are
     * reported. Computed over all per-k result cells of the given runs.
@@ -223,64 +223,4 @@ object Experiments {
     val div = DivergenceExplorer.run(counter, k, minSupport = DefaultTauS)
     CaseStudy(prop, glob, div, ix)
   }
-
-  // ------------------------------------------------------------------
-  // Rendering helpers shared by jobs and benches.
-  // ------------------------------------------------------------------
-
-  def renderTimings(title: String, rows: Seq[TimingRow]): String =
-    Tables.render(title,
-      Seq("dataset", "problem", "algo", rows.headOption.map(_.paramName).getOrElse("param"),
-          "time", "examined", "max|Res|"),
-      rows.map(r => Seq(r.dataset, r.problem, r.algo, r.param.toString,
-        Tables.fmtMillis(r.millis, r.timedOut),
-        if (r.timedOut) "-" else r.examined.toString,
-        if (r.resCells.isEmpty) "-" else r.resCells.max.toString)))
-
-  /** The §III "<100 groups" line under T1. */
-  def renderUnder100(rows: Seq[TimingRow]): String = {
-    val (u, t) = under100Share(rows)
-    f"result cells with <100 groups: $u/$t (${100.0 * u / math.max(1, t)}%.2f%%; paper: 97.58%%)"
-  }
-
-  /** T3b, followed by the gains the paper quotes. */
-  def renderGains(gains: Seq[GainRow]): String =
-    Tables.render("T3b: patterns-examined gain of optimized vs ITERTD",
-      Seq("dataset", "problem", "kMax", "IterTD", "optimized", "gain%"),
-      gains.map(g => Seq(g.dataset, g.problem, g.kMax.toString,
-        g.baseExamined.toString, g.optExamined.toString, f"${g.gainPct}%.2f"))) +
-      "\npaper gains: global 39.35% (COMPAS) 56.87% (student) 29.27% (credit); " +
-      "prop 39.60% / 20.49% / 56.83%"
-
-  /** T4: one dataset's top-6 aggregated Shapley values. */
-  def renderShapley(name: String, ex: ResultAnalysis.Explanation): String =
-    Tables.render(s"T4 / Figure 10: aggregated Shapley — $name, group ${ex.rendered}",
-      Seq("attribute", "aggregated Shapley"),
-      ex.aggShapley.take(6).map { case (a, v) => Seq(a, f"$v%.4f") })
-
-  /** T5: one dataset's top-Shapley attribute distribution, top-k vs group. */
-  def renderDistribution(name: String, ex: ResultAnalysis.Explanation): String =
-    Tables.render(
-      s"T5 / Figure 10d-f: $name, attribute '${ex.topAttr}', group ${ex.rendered}",
-      Seq("value", "top-k share", "group share"),
-      ex.topkDist.zip(ex.groupDist).map { case ((v, tk), (_, g)) =>
-        Seq(v, f"$tk%.3f", f"$g%.3f")
-      })
-
-  /** T6 (groups per method) followed by T6b (top-5 divergence groups). */
-  def renderCaseStudy(cs: CaseStudy): String =
-    Tables.render("T6 / VI-D: detected groups per method (paper: 2 / 5 / 28)",
-      Seq("method", "#groups", "groups"),
-      Seq(
-        Seq("PropBounds", cs.propPatterns.size.toString,
-          cs.propPatterns.map(cs.index.render).toSeq.sorted.mkString("; ")),
-        Seq("GlobalBounds", cs.globalPatterns.size.toString,
-          cs.globalPatterns.map(cs.index.render).toSeq.sorted.mkString("; ")),
-        Seq("Divergence[27]", cs.divergenceGroups.size.toString,
-          cs.divergenceGroups.take(5).map(g => cs.index.render(g.p)).mkString("; ") + "; ..."),
-      )) + "\n" +
-      Tables.render("T6b: top-5 groups by divergence",
-        Seq("group", "support", "outcome", "divergence"),
-        cs.divergenceGroups.take(5).map(g =>
-          Seq(cs.index.render(g.p), g.support.toString, f"${g.outcome}%.3f", f"${g.divergence}%.3f")))
 }
