@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
+
 /** A pattern (Definition 2.2): a value assignment to a subset of the
   * categorical attributes of a dataset.
   *
@@ -16,7 +18,7 @@ final case class Pattern(vals: Vector[Int]) {
     * result maps and the searches' hash sets, which would otherwise hash
     * the boxed `vals` on every probe.
     */
-  override val hashCode: Int = scala.util.hashing.MurmurHash3.caseClassHash(this)
+  override val hashCode: Int = Pattern.caseClassHash(vals)
 
   /** Same `vals`; compares the cached hashes first, then the values unboxed. */
   override def equals(other: Any): Boolean = other match {
@@ -86,11 +88,21 @@ final case class Pattern(vals: Vector[Int]) {
     *
     * @param domainSizes cardinality of each attribute's active domain
     */
-  def searchTreeChildren(domainSizes: IndexedSeq[Int]): Seq[Pattern] =
-    for {
-      a <- (maxIdx + 1) until width
-      v <- 0 until domainSizes(a)
-    } yield Pattern(vals.updated(a, v))
+  def searchTreeChildren(domainSizes: IndexedSeq[Int]): Seq[Pattern] = {
+    val first = maxIdx + 1
+    var size = 0
+    var a = first
+    while (a < width) { size += domainSizes(a); a += 1 }
+    val children = new Array[Pattern](size)
+    var i = 0
+    a = first
+    while (a < width) {
+      var v = 0
+      while (v < domainSizes(a)) { children(i) = Pattern(vals.updated(a, v)); v += 1; i += 1 }
+      a += 1
+    }
+    ArraySeq.unsafeWrapArray(children)
+  }
 
   /** Parents in the pattern graph: drop one constrained attribute. */
   def parents: Seq[Pattern] =
@@ -109,6 +121,40 @@ final case class Pattern(vals: Vector[Int]) {
 object Pattern {
   /** Slot value for an unconstrained attribute. */
   final val Wildcard: Int = -1
+
+  /** `MurmurHash3.caseClassHash` of `Pattern(vals)`, computed on the
+    * unboxed values: the product seed mixed with the name's hash and with
+    * `vals`'s sequence hash, which hashes two or more values in a non-zero
+    * arithmetic progression as a range. Spelled out because the search
+    * hashes every child it creates: the generic product and sequence
+    * hashes box each value, and their compiled code is shared with the
+    * rest of the JVM (Spark's planner hashes its case classes with them),
+    * so how soon a detection ran at full speed depended on what ran
+    * before it.
+    */
+  private def caseClassHash(vals: Vector[Int]): Int = {
+    import scala.util.hashing.MurmurHash3.{finalizeHash, mix, productSeed, seqSeed}
+    val l = vals.length
+    val seqHash =
+      if (l == 0) finalizeHash(seqSeed, 0)
+      else if (l == 1) finalizeHash(mix(seqSeed, vals(0)), 1)
+      else {
+        val h0 = mix(seqSeed, vals(0))
+        val step = vals(1) - vals(0)
+        var h = h0
+        var prev = vals(1)
+        var i = 2
+        while (i < l && step != 0 && vals(i) - prev == step) { h = mix(h, prev); prev = vals(i); i += 1 }
+        // finalizeHash(_, 0) is the bare avalanche step
+        if (i == l) finalizeHash(mix(mix(h0, step), prev), 0)
+        else {
+          h = mix(h, prev)
+          while (i < l) { h = mix(h, vals(i)); i += 1 }
+          finalizeHash(h, l)
+        }
+      }
+    finalizeHash(mix(mix(productSeed, "Pattern".hashCode), seqHash), 1)
+  }
 
   /** The empty (most general) pattern over `width` attributes. */
   def root(width: Int): Pattern = Pattern(Vector.fill(width)(Wildcard))

@@ -2,9 +2,10 @@ package repro.data
 
 import org.apache.spark.sql.{DataFrame, Encoders, Row, SparkSession}
 import org.apache.spark.sql.catalyst.expressions.GenericRow
-import org.apache.spark.sql.catalyst.util.SQLOrderingUtil
 import org.apache.spark.sql.types._
 import org.apache.spark.unsafe.hash.Murmur3_x86_32
+
+import scala.collection.mutable
 
 /** Synthetic stand-ins for the paper's three real evaluation datasets
   * (COMPAS, Student Performance, German Credit), which we cannot ship.
@@ -69,8 +70,9 @@ object BiasDataGen {
     *
     * score = Σ_j weight_j · value_j/(card_j−1) + noise · randn
     *
-    * One Spark job collects each row's score by `row_id`, and the driver
-    * ranks them ([[ranks]]). The frame is a second, uncached map over
+    * One Spark job, a plain RDD map over the row ids, collects each row's
+    * score as one `Array[Double]` per partition, in `row_id` order, and the
+    * driver ranks them ([[ranks]]). The frame is an uncached map over
     * `spark.range(n)` that draws each row again with its rank, so it keeps
     * the range's partitions: a row is a pure function of `(row_id, seed)`
     * (a [[RowDraw]], which the JIT compiles, unlike the same draws as
@@ -88,23 +90,67 @@ object BiasDataGen {
     require(specs.map(_.name).distinct.size == specs.size, "duplicate attribute names")
     require(n >= 0 && n <= Int.MaxValue, s"row count $n is outside [0, ${Int.MaxValue}]")
     val draw = new RowDraw(specs, noise, seed)
-    val score = (id: java.lang.Long) => draw(id, rank = 0).getDouble(specs.length + 1)
+    val sc = spark.sparkContext
     // collected in row_id order: the range's partitions hold consecutive ids
-    val rank = ranks(spark.range(n).map(score)(Encoders.scalaDouble).collect())
+    val scores = sc.range(0, n, 1, sc.defaultParallelism).mapPartitions { ids =>
+      val out = new mutable.ArrayBuilder.ofDouble
+      while (ids.hasNext) out += draw.score(ids.next())
+      Iterator.single(out.result())
+    }.collect()
+    val rank = ranks(Array.concat(scores.toIndexedSeq: _*))
     val df = spark.range(n).map((id: java.lang.Long) => draw(id, rank(id.toInt)))(Encoders.row(schema(specs)))
     RankedDataset(name, df.toDF(), specs.map(_.name).toIndexedSeq, "rank")
   }
 
   /** The 1-based rank of each row id, an index of `scores`: its place in
     * a stable sort by score descending under Spark SQL's double ordering
-    * (NaN first, −0.0 equal to 0.0), so ties keep row-id order, as
-    * `row_number() OVER (ORDER BY score DESC, row_id)` ranks them.
+    * (`SQLOrderingUtil.compareDoubles`: NaN first, −0.0 equal to 0.0), so
+    * ties keep row-id order, as `row_number() OVER (ORDER BY score DESC,
+    * row_id)` ranks them.
+    *
+    * Each score maps to a `long` key whose signed order is that ordering
+    * reversed; the keys are sorted as primitives, each id's tie block
+    * starts at the first place of its key (a binary search), and a counter
+    * per block hands out the block's places in row-id order.
     */
   private[data] def ranks(scores: Array[Double]): Array[Int] = {
-    val rank = new Array[Int](scores.length)
-    val order = scores.indices.sortWith((a, b) => SQLOrderingUtil.compareDoubles(scores(a), scores(b)) > 0)
-    for ((id, r) <- order.zipWithIndex) rank(id) = r + 1
+    val n = scores.length
+    val key = new Array[Long](n)
+    var i = 0
+    while (i < n) { key(i) = descendingKey(scores(i)); i += 1 }
+    val sorted = key.clone()
+    java.util.Arrays.sort(sorted)
+    val taken = new Array[Int](n)
+    val rank = new Array[Int](n)
+    i = 0
+    while (i < n) {
+      val first = firstIndexOf(sorted, key(i))
+      rank(i) = first + taken(first) + 1
+      taken(first) += 1
+      i += 1
+    }
     rank
+  }
+
+  /** A key whose signed order is the reverse of `compareDoubles`: NaNs
+    * share one key, the smallest, and −0.0 shares 0.0's.
+    */
+  private def descendingKey(d: Double): Long = {
+    // doubleToLongBits folds every NaN into one pattern; + 0.0 turns −0.0 into 0.0
+    val bits = java.lang.Double.doubleToLongBits(d + 0.0)
+    // flipping the magnitude bits of negatives makes the signed order the doubles' order
+    ~(bits ^ ((bits >> 63) & Long.MaxValue))
+  }
+
+  /** The first index of `k` in the sorted `a`, which holds it. */
+  private def firstIndexOf(a: Array[Long], k: Long): Int = {
+    var lo = 0
+    var hi = a.length - 1
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (a(mid) < k) lo = mid + 1 else hi = mid
+    }
+    lo
   }
 
   /** One generated row as a function of its row id.
@@ -123,7 +169,7 @@ object BiasDataGen {
     * `sqrt` and `cos`) and the same order of operations, so the data are
     * bit-identical to an expression-built generator's.
     */
-  private final class RowDraw(specs: Seq[AttrSpec], noise: Double, seed: Long) extends Serializable {
+  private[data] final class RowDraw(specs: Seq[AttrSpec], noise: Double, seed: Long) extends Serializable {
     private val m = specs.length
     private val card = specs.map(_.card).toArray
     private val stream = Array.tabulate(m)(j => seed * 1000L + 2L * j)
@@ -146,34 +192,28 @@ object BiasDataGen {
       java.lang.Math.sqrt(-2.0 * java.lang.StrictMath.log(unif(rowId, stream))) *
         java.lang.Math.cos(2.0 * math.Pi * unif(rowId, stream + 1))
 
-    /** Row `rowId` in the column order of [[schema]], `rank` last. */
-    def apply(rowId: Long, rank: Int): Row = {
-      val out = new Array[Any](m + 3)
-      out(0) = rowId
-      val latentZ = gaussian(rowId, latentStream)
-      val value = new Array[Int](m)
-      var j = 0
-      while (j < m) {
-        val r =
-          if (rho(j) == 0.0) unif(rowId, stream(j))
-          else {
-            // Gaussian copula with the shared latent: the combined z-score
-            // stays standard normal, and the logistic approximation of Φ
-            // maps it back to (0,1) so the declared marginals survive.
-            val z = rhoC(j) * gaussian(rowId, stream(j)) + rho(j) * latentZ
-            1.0 / (1.0 + java.lang.StrictMath.exp(-1.702 * z))
-          }
-        val c = cdf(j)
-        value(j) =
-          if (c.isEmpty) math.min(card(j) - 1, math.floor(r * card(j)).toInt)
-          else {
-            var i = 0
-            while (i < c.length && !(r < c(i))) i += 1
-            i
-          }
-        out(j + 1) = value(j)
-        j += 1
+    /** Category of attribute `j` in row `rowId`, given the row's shared latent. */
+    private def category(rowId: Long, j: Int, latentZ: Double): Int = {
+      val r =
+        if (rho(j) == 0.0) unif(rowId, stream(j))
+        else {
+          // Gaussian copula with the shared latent: the combined z-score
+          // stays standard normal, and the logistic approximation of Φ
+          // maps it back to (0,1) so the declared marginals survive.
+          val z = rhoC(j) * gaussian(rowId, stream(j)) + rho(j) * latentZ
+          1.0 / (1.0 + java.lang.StrictMath.exp(-1.702 * z))
+        }
+      val c = cdf(j)
+      if (c.isEmpty) math.min(card(j) - 1, math.floor(r * card(j)).toInt)
+      else {
+        var i = 0
+        while (i < c.length && !(r < c(i))) i += 1
+        i
       }
+    }
+
+    /** The score of row `rowId`, whose scoring attributes hold `value`. */
+    private def total(rowId: Long, value: Array[Int]): Double = {
       // summed left to right, one term per scoring attribute
       var score = 0.0
       var t = 0
@@ -183,7 +223,36 @@ object BiasDataGen {
         score = if (t == 0) term else score + term
         t += 1
       }
-      out(m + 1) = score + noise * gaussian(rowId, noiseStream)
+      score + noise * gaussian(rowId, noiseStream)
+    }
+
+    /** Row `rowId`'s score, drawing its scoring attributes only: the
+      * `score` column of `apply(rowId, _)`, bit for bit.
+      */
+    def score(rowId: Long): Double = {
+      val latentZ = gaussian(rowId, latentStream)
+      val value = new Array[Int](m)
+      var t = 0
+      while (t < scoring.length) {
+        value(scoring(t)) = category(rowId, scoring(t), latentZ)
+        t += 1
+      }
+      total(rowId, value)
+    }
+
+    /** Row `rowId` in the column order of [[schema]], `rank` last. */
+    def apply(rowId: Long, rank: Int): Row = {
+      val out = new Array[Any](m + 3)
+      out(0) = rowId
+      val latentZ = gaussian(rowId, latentStream)
+      val value = new Array[Int](m)
+      var j = 0
+      while (j < m) {
+        value(j) = category(rowId, j, latentZ)
+        out(j + 1) = value(j)
+        j += 1
+      }
+      out(m + 1) = total(rowId, value)
       out(m + 2) = rank
       new GenericRow(out)
     }

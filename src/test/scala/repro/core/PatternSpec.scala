@@ -48,6 +48,31 @@ class PatternSpec extends AnyFunSuite {
     assert(kids.distinct.size == kids.size)
   }
 
+  test("search-tree children are the for-comprehension over later attributes, then values, in that order") {
+    val wide = IndexedSeq(3, 1, 4, 2, 5)
+    val gen = Gen.sequence[Vector[Int], Int](wide.map(c => Gen.choose(-1, c - 1))).map(Pattern(_))
+    for (p <- Pattern.root(5) +: samples(gen, 200)) {
+      val want = for {
+        a <- (p.maxIdx + 1) until p.width
+        v <- 0 until wide(a)
+      } yield Pattern(p.vals.updated(a, v))
+      assert(p.searchTreeChildren(wide) == want, p)
+    }
+  }
+
+  test("the cached hash is the case-class hash, on ranges, constant runs and random values") {
+    import scala.util.hashing.MurmurHash3.caseClassHash
+    def vectors(len: Int): Iterator[Vector[Int]] =
+      if (len == 0) Iterator(Vector.empty) else vectors(len - 1).flatMap(v => (-1 to 3).iterator.map(v :+ _))
+    val exhaustive = (0 to 5).iterator.flatMap(vectors)
+    val ranges = for (len <- (0 to 24).iterator; start <- -1 to 2; step <- -2 to 3) yield Vector.tabulate(len)(start + step * _)
+    val random = samples(Gen.choose(0, 40).flatMap(Gen.listOfN(_, Gen.choose(-1, 6))).map(_.toVector), 500)
+    for (v <- exhaustive ++ ranges ++ random) {
+      val p = Pattern(v)
+      assert(p.hashCode == caseClassHash(p), v)
+    }
+  }
+
   test("Example 4.2: {G=F,S=GP} is a search-tree child of {G=F}, not of {S=GP}") {
     val gf = Pattern.of(4, 0 -> 0)
     val sgp = Pattern.of(4, 1 -> 0)

@@ -2,6 +2,8 @@ package repro.data
 
 import org.apache.spark.TestListenerBus
 import org.apache.spark.sql.functions._
+import org.scalacheck.Gen
+import org.scalacheck.rng.Seed
 import repro.SparkSpec
 import repro.core.{GlobalLowerBound, IterTD, LocalPatternCounter}
 
@@ -177,6 +179,40 @@ class BiasDataGenSpec extends SparkSpec {
       .orderBy("id").select("rank").collect().map(_.getInt(0)).toSeq
     assert(BiasDataGen.ranks(scores).toSeq == window)
     assert(BiasDataGen.ranks(Array.empty).isEmpty)
+  }
+
+  test("RowDraw.score equals the drawn row's score bit for bit on ids 0 to 10000") {
+    import BiasDataGen.AttrSpec
+    val tieHeavy = Seq(AttrSpec("a", 3, weight = -0.5), AttrSpec("b", 2, latentCorr = 0.3))
+    for ((name, specs, noise, seed) <- Seq(
+      ("compas", BiasDataGen.compasSpecs(16), 0.10, 42L),
+      ("german", BiasDataGen.germanSpecs(20), 0.10, 11L),
+      ("student", BiasDataGen.studentSpecs(33), 0.15, 7L),
+      ("ties", tieHeavy, 0.0, 4L),
+    )) {
+      val draw = new BiasDataGen.RowDraw(specs, noise, seed)
+      val bits = java.lang.Double.doubleToRawLongBits _
+      val firstDiff = (0L to 10000L).find(id => bits(draw.score(id)) != bits(draw(id, 0).getDouble(specs.length + 1)))
+      assert(firstDiff.isEmpty, s"$name: row_id ${firstDiff.getOrElse(-1L)}")
+    }
+  }
+
+  test("property: ranks equal a comparator sort on ties, NaN bit patterns, signed zeros and infinities") {
+    val nans = Seq(0x7ff8000000000000L, 0x7ff0000000000abcL, 0xfff8000000000001L, 0x7fffffffffffffffL)
+      .map(java.lang.Double.longBitsToDouble)
+    val special = nans ++ Seq(0.0, -0.0, Double.PositiveInfinity, Double.NegativeInfinity,
+      Double.MinPositiveValue, -Double.MinPositiveValue, Double.MaxValue, -Double.MaxValue)
+    // a small pool of values per draw, so ties are frequent
+    val score = Gen.frequency(3 -> Gen.oneOf(special), 4 -> Gen.choose(-3, 3).map(_ * 0.5), 1 -> Gen.double)
+    val scores = Gen.choose(0, 300).flatMap(n => Gen.listOfN(n, score)).map(_.toArray)
+    var tied = 0 // scores that share their value with an earlier one, over all samples
+    for (seed <- 0L until 200L) {
+      val s = scores.pureApply(Gen.Parameters.default, Seed(seed))
+      assert(BiasDataGen.ranks(s).toSeq == Ranker.sortWithRanks(s).toSeq, s"seed=$seed")
+      // doubleToLongBits folds the NaNs, + 0.0 folds −0.0 into 0.0
+      tied += s.length - s.map(d => java.lang.Double.doubleToLongBits(d + 0.0)).distinct.length
+    }
+    assert(tied > 1000, s"only $tied tied scores")
   }
 
   test("generate rejects a row count outside [0, Int.MaxValue] before any Spark job") {

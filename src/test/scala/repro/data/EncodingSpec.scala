@@ -88,6 +88,70 @@ class EncodingSpec extends SparkSpec {
     assert(dicts(1) == IndexedSeq("1", "20", "3", "∅"))
     assert(dicts(2) == IndexedSeq("∅"))
     assert(Encoding.index(df, cols, "rank").domains == dicts)
+
+    // Boolean, long, decimal, float, double, date and timestamp columns,
+    // the timestamps rendered in a zone whose DST fall-back repeats an
+    // hour: 08:30 and 09:30 UTC on 2021-11-07 are both 01:30 in Los Angeles.
+    val nan2 = java.lang.Double.longBitsToDouble(0x7ff0000000000abcL)
+    val floatNan2 = java.lang.Float.intBitsToFloat(0x7f800abc)
+    val earlier = java.sql.Timestamp.from(java.time.Instant.parse("2021-11-07T08:30:00Z"))
+    val later = java.sql.Timestamp.from(java.time.Instant.parse("2021-11-07T09:30:00Z"))
+    val noon = java.sql.Timestamp.from(java.time.Instant.parse("2021-11-07T20:00:00Z"))
+    val day = java.sql.Date.valueOf("2021-11-07")
+    val typed = spark.createDataFrame(java.util.Arrays.asList(
+      Row(true, 3L, BigDecimal("1.50"), -0.0f, -0.0, day, earlier, 1),
+      Row(false, Long.MinValue, BigDecimal("-2.00"), 0.0f, 0.0, null, later, 2),
+      Row(null, Long.MaxValue, null, Float.NaN, Double.NaN, day, noon, 3),
+      Row(true, 3L, BigDecimal("1.50"), floatNan2, nan2, java.sql.Date.valueOf("1969-12-31"), null, 4),
+      Row(true, -3L, BigDecimal("0.00"), 1.5f, -0.0, day, later, 5),
+    ), StructType(Seq(
+      StructField("b", BooleanType), StructField("l", LongType), StructField("dec", DecimalType(10, 2)),
+      StructField("f", FloatType), StructField("d", DoubleType), StructField("date", DateType),
+      StructField("ts", TimestampType), StructField("rank", IntegerType))))
+    val typedCols = typed.columns.toSeq.init
+    val zoneKey = "spark.sql.session.timeZone"
+    val zone = spark.conf.get(zoneKey)
+    spark.conf.set(zoneKey, "America/Los_Angeles")
+    try {
+      val perTypedAttribute = typedCols.toIndexedSeq.map { c =>
+        typed.select(col(c).cast("string")).distinct().collect()
+          .map(r => Option(r.getString(0)).getOrElse("∅")).sorted.toIndexedSeq
+      }
+      val typedDicts = Encoding.dictionaries(typed, typedCols)
+      assert(typedDicts == perTypedAttribute)
+      assert(typedDicts(0) == IndexedSeq("false", "true", "∅"))
+      assert(typedDicts(1) == IndexedSeq("-3", "-9223372036854775808", "3", "9223372036854775807"))
+      assert(typedDicts(2) == IndexedSeq("-2.00", "0.00", "1.50", "∅"))
+      assert(typedDicts(3) == IndexedSeq("-0.0", "0.0", "1.5", "NaN"))
+      assert(typedDicts(4) == IndexedSeq("-0.0", "0.0", "NaN"))
+      assert(typedDicts(5) == IndexedSeq("1969-12-31", "2021-11-07", "∅"))
+      assert(typedDicts(6) == IndexedSeq("2021-11-07 01:30:00", "2021-11-07 12:00:00", "∅"))
+      val ix = Encoding.index(typed, typedCols, "rank")
+      assert(ix.domains == typedDicts)
+      // the two instants that share a label share a code
+      assert(ix.rows(0)(6) == ix.rows(1)(6) && ix.rows(1)(6) == ix.rows(4)(6))
+    } finally spark.conf.set(zoneKey, zone)
+  }
+
+  test("binary, array, map and struct attributes are rejected by column name before any Spark job") {
+    val df = spark.createDataFrame(java.util.Arrays.asList(
+      Row(1, Array[Byte](1, 2), Seq(1, 2), Map("a" -> 1), Row(1, "x"), 1),
+      Row(2, Array[Byte](3), Seq(3), Map("b" -> 2), Row(2, "y"), 2),
+    ), StructType(Seq(
+      StructField("ok", IntegerType), StructField("bin", BinaryType), StructField("arr", ArrayType(IntegerType)),
+      StructField("map", MapType(StringType, IntegerType)),
+      StructField("st", StructType(Seq(StructField("i", IntegerType), StructField("s", StringType)))),
+      StructField("rank", IntegerType))))
+    for (bad <- Seq("bin", "arr", "map", "st")) {
+      val (e, jobs) = TestListenerBus.jobsDuring(spark.sparkContext)(
+        intercept[IllegalArgumentException](Encoding.index(df, Seq("ok", bad), "rank")))
+      assert(e.getMessage.contains(s"attribute column $bad has type") && !e.getMessage.contains("column ok"), e.getMessage)
+      assert(jobs == 0, bad)
+      val (ed, dictJobs) = TestListenerBus.jobsDuring(spark.sparkContext)(
+        intercept[IllegalArgumentException](Encoding.dictionaries(df, Seq(bad))))
+      assert(ed.getMessage == e.getMessage && dictJobs == 0, bad)
+    }
+    assert(Encoding.index(df, Seq("ok"), "rank").domains == IndexedSeq(IndexedSeq("1", "2")))
   }
 
   test("round trip: decoding an encoded value yields the original label") {

@@ -1,12 +1,15 @@
 package repro.data
 
 import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.catalyst.util.SQLOrderingUtil
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 /** Score-based ranking `R` as a Spark window: the ranking oracle that
   * [[BiasDataGen.generate]]'s driver-side ranks must reproduce (through
-  * [[GeneratorOracle]]), and the ranker of the Figure 1 tests.
+  * [[GeneratorOracle]]), and the ranker of the Figure 1 tests; and the
+  * same ranking as a comparator sort on the driver, the oracle of
+  * [[BiasDataGen.ranks]].
   */
 object Ranker {
 
@@ -29,5 +32,16 @@ object Ranker {
     val primary = if (ascending) col(scoreCol).asc else col(scoreCol).desc
     val w = Window.orderBy(primary +: tieBreak :+ col(idCol).asc: _*)
     df.withColumn(rankCol, row_number().over(w))
+  }
+
+  /** The 1-based rank of each index of `scores` in a stable sort of the
+    * indices by score descending under Spark SQL's double comparator
+    * (NaN first, −0.0 equal to 0.0), so ties keep index order.
+    */
+  def sortWithRanks(scores: Array[Double]): Array[Int] = {
+    val rank = new Array[Int](scores.length)
+    val order = scores.indices.sortWith((a, b) => SQLOrderingUtil.compareDoubles(scores(a), scores(b)) > 0)
+    for ((id, r) <- order.zipWithIndex) rank(id) = r + 1
+    rank
   }
 }
