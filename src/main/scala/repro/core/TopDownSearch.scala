@@ -9,11 +9,12 @@ import scala.collection.immutable.ArraySeq
   * comparator runs it under a bound no count falls below.
   *
   * The search goes wave by wave: a wave is the children of the nodes the
-  * last one opened, counted with a single [[PatternCounter.countInto]]
-  * call in which siblings follow each other, so the index reuses their
-  * parent's AND. A node keeps its children's s_D, so a search that
-  * reaches it again at another k (ITERTD keeps one tree per run) counts
-  * only their top-k.
+  * last one opened, counted with a single [[PatternCounter.countWave]]
+  * call that names the wave by its parents, so the index counts each
+  * child from its parent's AND and no child slot gets a [[Pattern]]; only
+  * a node the search creates builds one. A node keeps its children's s_D,
+  * so a search that reaches it again at another k (ITERTD keeps one tree
+  * per run) counts only their top-k.
   *
   * Expansion rule (Algorithm 1, lines 5–10): a node is pruned when its
   * dataset size is below `τ_s` (size is anti-monotone, so the whole
@@ -27,28 +28,36 @@ object TopDownSearch {
   /** A counted pattern with `s_D ≥ τ_s`: its dataset size, its top-k
     * count at the last k that counted it (kept live by the incremental
     * engine), whether it is biased, and, once expanded, its children.
+    * `attrs` / `vals` are `p`'s constrained attributes, ascending, and
+    * their values, unboxed for the counter and the tree's lookups.
     */
-  private[repro] final class Node(val p: Pattern, val sD: Long, var cnt: Long, parent: Node) {
-    val maxIdx: Int = p.maxIdx
+  private[repro] final class Node private (
+      val p: Pattern,
+      val sD: Long,
+      var cnt: Long,
+      val attrs: Array[Int],
+      val vals: Array[Int],
+  ) extends PatternCounter.Parent {
 
-    /** `p`'s constrained attributes, ascending, and their values, unboxed
-      * for the tree's lookups: the search-tree parent's plus `maxIdx`.
-      */
-    val attrs: Array[Int] = if (parent eq null) Array.emptyIntArray else parent.attrs :+ maxIdx
-    val vals: Array[Int] = if (parent eq null) Array.emptyIntArray else parent.vals :+ p.vals(maxIdx)
+    /** The root of a tree over `width` attributes, with s_D `sD`. */
+    def this(width: Int, sD: Long) = this(Pattern.root(width), sD, 0L, Array.emptyIntArray, Array.emptyIntArray)
+
+    /** `p`'s last constrained attribute ([[Pattern.maxIdx]]), or -1 at the root. */
+    val maxIdx: Int = if (attrs.length == 0) -1 else attrs(attrs.length - 1)
+
+    /** The child with attribute `a` (above [[maxIdx]]) set to `v`. */
+    def child(a: Int, v: Int, sD: Long, cnt: Long): Node =
+      new Node(Pattern(p.vals.updated(a, v)), sD, cnt, attrs :+ a, vals :+ v)
 
     var biased: Boolean = false
 
-    /** The children's patterns. This array and the two below are null
-      * until the node is expanded; then slot
-      * `offset(a) - offset(maxIdx + 1) + v` of each is the child with
-      * attribute `a` set to `v`, in [[Pattern.searchTreeChildren]]'s order.
-      */
-    var childPatterns: Array[Pattern] = _
-
     /** Each child's s_D, or [[PatternCounter.Unknown]] before it is first
-      * counted. s_D does not depend on k, so a search that reaches this
-      * node again sends these to the counter, which then counts only top-k.
+      * counted. This array and the one below are null until the node is
+      * expanded; then slot `offset(a) - offset(maxIdx + 1) + v` of each is
+      * the child with attribute `a` set to `v`, in
+      * [[Pattern.searchTreeChildren]]'s order. s_D does not depend on k,
+      * so a search that reaches this node again sends these to the
+      * counter, which then counts only top-k.
       */
     var childSD: Array[Int] = _
 
@@ -78,13 +87,13 @@ object TopDownSearch {
   /** The search tree of one schema, searched under `bound` and `τ_s`. */
   private[repro] final class Tree(counter: PatternCounter, bound: BiasBound, tauS: Long) {
     private val width = counter.width
-    private val domainSizes = counter.domainSizes
+    private val domainSizes = counter.domainSizes.toArray
 
     /** `offset(a)`: number of (attribute, value) pairs on attributes below `a`. */
     val offset: Array[Int] = domainSizes.scanLeft(0)(_ + _).toArray
 
     /** The root; it is never counted, never biased and always clean. */
-    val root: Node = new Node(Pattern.root(width), counter.datasetSize, 0L, null)
+    val root: Node = new Node(width, counter.datasetSize)
 
     /** `n`'s child with attribute `a` set to `v`, or null. */
     private def child(n: Node, a: Int, v: Int): Node =
@@ -145,70 +154,76 @@ object TopDownSearch {
     }
 
     private def expand(n: Node): Unit = if (n.children eq null) {
-      n.childPatterns = n.p.searchTreeChildren(domainSizes).toArray
-      n.childSD = Array.fill(n.childPatterns.length)(PatternCounter.Unknown)
-      n.children = new Array[Node](n.childPatterns.length)
+      val slots = offset(width) - offset(n.maxIdx + 1)
+      n.childSD = Array.fill(slots)(PatternCounter.Unknown)
+      n.children = new Array[Node](slots)
     }
 
     /** Algorithm 1 at `k` below `parents`. Expands every parent and every
       * node it opens, unless a search at an earlier k expanded it already.
-      * A wave lists each parent's child patterns in slot order, and the
-      * `sD` / `topK` arrays of its one [[PatternCounter.countInto]] call
-      * line up with those slots, the s_D of children counted before passed
-      * in as known. Every counted s_D is kept in the parent's `childSD`. A
-      * child with `s_D ≥ τ_s` is written into its parent's slot, or, if a
-      * search at an earlier k put it there, gets its count and biased flag
-      * overwritten. A wave with nothing to count ends the search without a
-      * [[PatternCounter.countInto]] call; the budget is checked before
-      * each wave that has patterns to count.
+      * The `sD` / `topK` arrays of a wave's one [[PatternCounter.countWave]]
+      * call line up with its parents' slots, the s_D of children counted
+      * before passed in as known. Every counted s_D is kept in the
+      * parent's `childSD`. A child with `s_D ≥ τ_s` is created from its
+      * parent and its slot's (attribute, value) and written into that
+      * slot, or, if a search at an earlier k put it there, gets its count
+      * and biased flag overwritten. A wave with nothing to count ends the
+      * search without a [[PatternCounter.countWave]] call; the budget is
+      * checked before each wave that has patterns to count.
       */
     def search(parents: Iterable[Node], k: Int, budget: Budget): Found = {
       val biased = Vector.newBuilder[Node]
       val opened = Vector.newBuilder[Node]
       var examined = 0L
       var timedOut = false
-      var wave = parents.toVector
+      var wave = parents.toArray
       while (wave.nonEmpty && !timedOut) {
-        wave.foreach(expand)
-        val size = wave.foldLeft(0)(_ + _.children.length)
-        if (size == 0) wave = Vector.empty
+        var size = 0
+        for (parent <- wave) {
+          expand(parent)
+          size += parent.children.length
+        }
+        if (size == 0) wave = Array.empty
         else if (budget.expired) timedOut = true
         else {
-          val patterns = new Array[Pattern](size)
           val sD = new Array[Int](size)
           val topK = new Array[Int](size)
           var i = 0
           for (parent <- wave) {
-            val slots = parent.children.length
-            System.arraycopy(parent.childPatterns, 0, patterns, i, slots)
-            System.arraycopy(parent.childSD, 0, sD, i, slots)
-            i += slots
+            System.arraycopy(parent.childSD, 0, sD, i, parent.childSD.length)
+            i += parent.childSD.length
           }
-          counter.countInto(ArraySeq.unsafeWrapArray(patterns), k, sD, topK)
+          counter.countWave(ArraySeq.unsafeWrapArray(wave), k, sD, topK)
           examined += size
-          val next = Vector.newBuilder[Node]
+          val next = Array.newBuilder[Node]
           i = 0
           for (parent <- wave) {
             var slot = 0
-            while (slot < parent.children.length) {
-              val d = sD(i)
-              parent.childSD(slot) = d
-              if (d >= tauS) {
-                val cnt = topK(i)
-                var n = parent.children(slot)
-                if (n eq null) {
-                  n = new Node(patterns(i), d, cnt, parent)
-                  parent.children(slot) = n
-                } else n.cnt = cnt
-                n.biased = bound.biased(cnt, d, k)
-                if (n.biased) biased += n
-                else {
-                  opened += n
-                  next += n
+            var a = parent.maxIdx + 1
+            while (a < width) {
+              var v = 0
+              while (v < domainSizes(a)) {
+                val d = sD(i)
+                parent.childSD(slot) = d
+                if (d >= tauS) {
+                  val cnt = topK(i)
+                  var n = parent.children(slot)
+                  if (n eq null) {
+                    n = parent.child(a, v, d, cnt)
+                    parent.children(slot) = n
+                  } else n.cnt = cnt
+                  n.biased = bound.biased(cnt, d, k)
+                  if (n.biased) biased += n
+                  else {
+                    opened += n
+                    next += n
+                  }
                 }
+                v += 1
+                slot += 1
+                i += 1
               }
-              slot += 1
-              i += 1
+              a += 1
             }
           }
           wave = next.result()

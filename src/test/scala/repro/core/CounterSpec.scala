@@ -102,6 +102,42 @@ class CounterSpec extends SparkSpec {
     }
   }
 
+  test("the default countWave is one countInto call with the wave's child patterns in slot order, and keeps known s_D") {
+    val rix = RandomData.index(seed = 302, n = 129, m = 4)
+    val rnd = new scala.util.Random(302)
+    val batches = KernelBatches.batches(rix.domainSizes, rnd)
+    val ranks = KernelBatches.matchingRanks(rix, batches.head._2)
+    val local = new LocalPatternCounter(rix)
+    for (k <- KernelBatches.ks(rix.size); (name, parents) <- batches) {
+      val children = KernelBatches.children(rix.domainSizes, parents)
+      val wave = parents.map(KernelBatches.parent(ranks, _))
+      val preset = KernelBatches.mixedSizes(children.size, rnd)
+      // overrides countInto only: records each call's patterns and s_D on entry
+      val calls = scala.collection.mutable.ArrayBuffer.empty[(Vector[Pattern], Vector[Int])]
+      val into = new PatternCounter {
+        override def width: Int = local.width
+        override def domainSizes: IndexedSeq[Int] = local.domainSizes
+        override def datasetSize: Long = local.datasetSize
+        override def countBatch(patterns: Seq[Pattern], k: Int): Map[Pattern, (Long, Long)] = local.countBatch(patterns, k)
+        override def countInto(patterns: IndexedSeq[Pattern], k: Int, sD: Array[Int], topK: Array[Int]): Unit = {
+          calls += ((patterns.toVector, sD.toVector))
+          local.countInto(patterns, k, sD, topK)
+        }
+        override def rankedRow(rank: Int): Array[Int] = local.rankedRow(rank)
+      }
+      val batchLog = new BatchLogCounter(local) // overrides countBatch only
+      for (counter <- Seq(into, batchLog)) {
+        val sD = preset.clone()
+        val topK = new Array[Int](children.size)
+        counter.countWave(wave, k, sD, topK)
+        val wrong = KernelBatches.wrongSlots(ranks, children, k, preset, sD, topK)
+        assert(wrong.isEmpty, s"k=$k parents=$name: ${wrong.take(5).map(children)}")
+      }
+      assert(calls == Seq(children -> preset.toVector), s"k=$k parents=$name")
+      assert(batchLog.sizes == Seq(children.size), s"k=$k parents=$name")
+    }
+  }
+
   test("pattern counts validated against DuckDB") {
     import org.apache.spark.sql.functions._
     val df = exampleDf

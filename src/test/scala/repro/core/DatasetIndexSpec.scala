@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 class DatasetIndexSpec extends AnyFunSuite {
   private val ix = RunningExample.index
+  import IndexCounts._
   import RunningExample.p
 
   test("index has 16 tuples over 4 attributes") {
@@ -192,6 +193,145 @@ class DatasetIndexSpec extends AnyFunSuite {
         ix.countBatch(ps, 5, new Array[Int](ps.size), new Array[Int](ps.size))
       }
       assert(e.getMessage.contains(s"width ${bad.width}"))
+    }
+  }
+
+  /** Counts the wave over `parents` with `preset` s_D, in `chunks` chunks
+    * (0: as many as its work gives); returns the `sD` and `topK` arrays.
+    */
+  private def wave(
+      ix: DatasetIndex,
+      parents: IndexedSeq[PatternCounter.Parent],
+      k: Int,
+      preset: Array[Int],
+      chunks: Int = 0,
+  ): (Array[Int], Array[Int]) = {
+    val sD = preset.clone()
+    val topK = new Array[Int](preset.length)
+    ix.countWave(parents, k, sD, topK, chunks)
+    (sD, topK)
+  }
+
+  /** `preset`s for a wave of `slots` slots: every s_D unknown, and a random mix. */
+  private def presets(slots: Int, rnd: scala.util.Random): Seq[Array[Int]] =
+    Seq(Array.fill(slots)(PatternCounter.Unknown), KernelBatches.mixedSizes(slots, rnd))
+
+  test("countWave with known and unknown s_D equals naive scans at the word boundaries of n and k") {
+    for (n <- KernelBatches.Sizes) {
+      val rix = RandomData.index(seed = n + 400, n = n, m = 4)
+      val rnd = new scala.util.Random(n + 400)
+      val batches = KernelBatches.batches(rix.domainSizes, rnd)
+      val ranks = KernelBatches.matchingRanks(rix, batches.head._2)
+      for ((name, patterns) <- batches; k <- KernelBatches.waveKs(n)) {
+        val children = KernelBatches.children(rix.domainSizes, patterns)
+        for (preset <- presets(children.size, rnd)) {
+          val (sD, topK) = wave(rix, patterns.map(KernelBatches.parent(ranks, _)), k, preset)
+          val wrong = KernelBatches.wrongSlots(ranks, children, k, preset, sD, topK)
+          assert(wrong.isEmpty, s"n=$n k=$k parents=$name: ${wrong.take(5).map(children)}")
+        }
+      }
+    }
+  }
+
+  test("countWave above the parallel threshold equals naive scans, and 1 chunk or many give identical arrays") {
+    val rnd = new scala.util.Random(11)
+    val batches = KernelBatches.batches(large.domainSizes, rnd)
+    val ranks = KernelBatches.matchingRanks(large, batches.head._2)
+    for ((name, patterns) <- batches) {
+      val children = KernelBatches.children(large.domainSizes, patterns)
+      val parents = patterns.map(KernelBatches.parent(ranks, _))
+      assert(children.size * KernelBatches.words(large) >= DatasetIndex.ParallelWork, name)
+      for (k <- Seq(1, 64, 65, 129, large.size); preset <- presets(children.size, rnd)) {
+        val (sD, topK) = wave(large, parents, k, preset)
+        val wrong = KernelBatches.wrongSlots(ranks, children, k, preset, sD, topK)
+        assert(wrong.isEmpty, s"k=$k parents=$name: ${wrong.take(5).map(children)}")
+        for (chunks <- Seq(1, 2, 7, 64, parents.size)) {
+          val (d, t) = wave(large, parents, k, preset, chunks)
+          assert(d.sameElements(sD) && t.sameElements(topK), s"k=$k parents=$name chunks=$chunks")
+        }
+      }
+    }
+  }
+
+  test("countWave takes a last sibling's s_D by subtraction only when all its siblings are unknown") {
+    // Each parent's s_D is passed in one too high: a slot counted by
+    // subtraction reads one too high, every other slot is exact.
+    val rix = RandomData.index(seed = 12, n = 129, m = 4)
+    val parents = KernelBatches.batches(rix.domainSizes, new scala.util.Random(12)).head._2
+    val children = KernelBatches.children(rix.domainSizes, parents)
+    val ranks = KernelBatches.matchingRanks(rix, parents)
+    // One group per (parent, attribute); its slots' first index and size.
+    val groups = for {
+      q <- parents
+      a <- (q.maxIdx + 1) until rix.width
+    } yield a
+    val sizes = groups.map(rix.domainSizes)
+    val firsts = sizes.scanLeft(0)(_ + _)
+    // Group g: all unknown (g % 3 == 0), only its last slot unknown
+    // (g % 3 == 1), or only its first slot known (g % 3 == 2).
+    val preset = Array.fill(children.size)(PatternCounter.Unknown)
+    for (g <- groups.indices; v <- 0 until sizes(g)) {
+      val i = firsts(g) + v
+      if (g % 3 == 1 && v < sizes(g) - 1 || g % 3 == 2 && v == 0) preset(i) = Int.MaxValue - i
+    }
+    val high = parents.map { q =>
+      val p = KernelBatches.parent(ranks, q)
+      p.copy(sD = p.sD + 1)
+    }
+    for (k <- Seq(5, 64, 129)) {
+      val sD = preset.clone()
+      val topK = new Array[Int](children.size)
+      rix.countWave(high, k, sD, topK)
+      val subtracted = groups.indices
+        .filter(g => (firsts(g) until firsts(g + 1)).forall(preset(_) < 0))
+        .map(g => firsts(g + 1) - 1)
+        .toSet
+      assert(subtracted.nonEmpty && subtracted.size < groups.size) // both kinds of group
+      for (i <- children.indices) {
+        val (d, t) = KernelBatches.naive(ranks, children(i), k)
+        val expected = if (preset(i) >= 0) preset(i) else if (subtracted(i)) d + 1 else d
+        assert(sD(i) == expected && topK(i) == t, s"k=$k slot $i ${children(i)}: ${(sD(i), topK(i))}")
+      }
+    }
+  }
+
+  test("countWave over a schema with a domain-size-1 attribute, and parents with no slots") {
+    val rnd = new scala.util.Random(13)
+    val cards = IndexedSeq(3, 1, 2, 3)
+    val rows = Array.fill(130)(Array.tabulate(4)(a => rnd.nextInt(cards(a))))
+    val names = IndexedSeq("A0", "A1", "A2", "A3")
+    val rix = new DatasetIndex(rows, cards, names, cards.map(c => IndexedSeq.tabulate(c)(_.toString)))
+    val batches = KernelBatches.batches(rix.domainSizes, rnd)
+    val all = batches.head._2
+    val ranks = KernelBatches.matchingRanks(rix, all)
+    val last = all.filter(_.maxIdx == rix.width - 1)
+    assert(last.nonEmpty && KernelBatches.children(rix.domainSizes, last).isEmpty)
+    val (d0, t0) = wave(rix, last.map(KernelBatches.parent(ranks, _)), 5, Array.empty)
+    assert(d0.isEmpty && t0.isEmpty)
+    for ((name, patterns) <- batches; k <- KernelBatches.waveKs(rix.size)) {
+      val children = KernelBatches.children(rix.domainSizes, patterns)
+      for (preset <- presets(children.size, rnd)) {
+        val (sD, topK) = wave(rix, patterns.map(KernelBatches.parent(ranks, _)), k, preset)
+        val wrong = KernelBatches.wrongSlots(ranks, children, k, preset, sD, topK)
+        assert(wrong.isEmpty, s"k=$k parents=$name: ${wrong.take(5).map(children)}")
+      }
+    }
+  }
+
+  test("countWave rejects a parent that is not a pattern of the schema") {
+    import KernelBatches.WaveParent
+    val bad = Seq(
+      WaveParent(Array(1, 0), Array(0, 0), 4) -> "constraint 2 (attribute 0, value 0)",
+      WaveParent(Array(1, 1), Array(0, 1), 4) -> "constraint 2 (attribute 1, value 1)",
+      WaveParent(Array(4), Array(0), 4) -> "constraint 1 (attribute 4, value 0)",
+      WaveParent(Array(3), Array(3), 4) -> "constraint 1 (attribute 3, value 3)",
+      WaveParent(Array(2), Array(-1), 4) -> "constraint 1 (attribute 2, value -1)",
+      WaveParent(Array(0, 1), Array(0), 4) -> "parent 1 has 2 attributes and 1 values",
+    )
+    for ((q, msg) <- bad) {
+      val parents = Vector(WaveParent(Array.emptyIntArray, Array.emptyIntArray, 16), q)
+      val e = intercept[IllegalArgumentException](ix.countWave(parents, 5, new Array[Int](99), new Array[Int](99)))
+      assert(e.getMessage.contains(msg), e.getMessage)
     }
   }
 

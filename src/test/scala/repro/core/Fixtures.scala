@@ -180,6 +180,22 @@ object KernelBatches {
     sD
   }
 
+  /** A parent of a [[PatternCounter.countWave]] wave. */
+  final case class WaveParent(attrs: Array[Int], vals: Array[Int], sD: Long) extends PatternCounter.Parent
+
+  /** `p` as a wave parent, with its s_D from [[matchingRanks]]. */
+  def parent(ranks: Map[Pattern, Array[Int]], p: Pattern): WaveParent = {
+    val as = p.attrs.toArray
+    WaveParent(as, as.map(p.vals), ranks(p).length.toLong)
+  }
+
+  /** The slots of a wave over `parents`: their search-tree children, in order. */
+  def children(domainSizes: IndexedSeq[Int], parents: Seq[Pattern]): Vector[Pattern] =
+    parents.iterator.flatMap(_.searchTreeChildren(domainSizes)).toVector
+
+  /** k at both sides of the first two word boundaries, 0 and `n`. */
+  def waveKs(n: Int): Seq[Int] = (Seq(0, 1, 63, 64, 65, 127, 128, 129) :+ n).distinct
+
   /** Slots of a [[mixedSizes]] `preset` whose results from
     * [[PatternCounter.countInto]] are wrong: a known s_D not left as it
     * was, an unknown one not equal to the naive count, or a top-k count
@@ -195,6 +211,23 @@ object KernelBatches {
   ): Seq[Int] = batch.indices.filter { i =>
     val (d, t) = naive(ranks, batch(i), k)
     topK(i) != t || sD(i) != (if (preset(i) >= 0) preset(i) else d)
+  }
+}
+
+/** Both counts of single patterns, through the index's pattern path. */
+object IndexCounts {
+  implicit final class PatternSizes(private val ix: DatasetIndex) extends AnyVal {
+
+    /** `(s_D(p), s_{R^k(D)}(p))`. */
+    def sizes(p: Pattern, k: Int): (Int, Int) = {
+      val d = new Array[Int](1)
+      val t = new Array[Int](1)
+      ix.countBatch(Vector(p), k, d, t)
+      (d(0), t(0))
+    }
+
+    /** s_D(p): number of tuples in D satisfying `p`. */
+    def sizeD(p: Pattern): Int = sizes(p, 0)._1
   }
 }
 
@@ -312,6 +345,8 @@ final class ExpiringCounter(ix: DatasetIndex, expireAt: Int, budget: Budget) ext
   * are all clean.
   */
 final class PatternStates(ix: DatasetIndex, bound: BiasBound, tauS: Long) {
+  import IndexCounts._
+
   def large(q: Pattern): Boolean = ix.sizeD(q) >= tauS
 
   def biased(q: Pattern, k: Int): Boolean = {

@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 
 class GlobalBoundsSpec extends AnyFunSuite {
+  import IndexCounts._
   import RunningExample.p
   private val ix = RunningExample.index
   private val counter = new LocalPatternCounter(ix)

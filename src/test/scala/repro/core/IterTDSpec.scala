@@ -5,6 +5,7 @@ import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 
 class IterTDSpec extends AnyFunSuite {
+  import IndexCounts._
   import RunningExample.p
   private val ix = RunningExample.index
   private val counter = new LocalPatternCounter(ix)

@@ -3,6 +3,7 @@ package repro.divergence
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core.{BruteForce, LocalPatternCounter, RunningExample}
+import repro.core.IndexCounts._
 
 class DivergenceSpec extends SparkSpec {
   import RunningExample.p

@@ -2,6 +2,7 @@ package repro.exp
 
 import org.apache.spark.sql.SparkSession
 import repro.core._
+import repro.core.IndexCounts._
 import repro.data.{BiasDataGen, Encoding}
 import repro.divergence.DivergenceExplorer
 import repro.shapley.ResultAnalysis

@@ -3,6 +3,7 @@ package repro.shapley
 import org.apache.spark.sql.Row
 import repro.SparkSpec
 import repro.core.Pattern
+import repro.core.IndexCounts._
 import repro.data.{BiasDataGen, Encoding}
 
 class ResultAnalysisSpec extends SparkSpec {
