@@ -12,14 +12,15 @@ package repro.core
   * A search-tree child (Definition 4.1) is its parent plus one
   * attribute-value. The searches count a wave of children through
   * [[countWave]], from the parents' constraints, and a batch of patterns
-  * goes through [[countInto]]; both keep the parents' ANDs on a prefix
-  * stack and count each child with one AND + popcount pass. s_D does not
-  * depend on k: a child whose s_D the caller already knows costs only the
-  * first ⌈k/64⌉ words, and in a wave the last value of an attribute whose
-  * siblings are all counted gets its s_D by subtraction. A large wave or
-  * batch is split into contiguous chunks counted in parallel on the
-  * common ForkJoin pool, each with its own stacks; the results are the
-  * same as the sequential loop's.
+  * goes through [[countInto]]; both count each child with one AND +
+  * popcount pass over its parent's AND. s_D does not depend on k: a child
+  * whose s_D the caller already knows costs only the first ⌈k/64⌉ words,
+  * and so does its parent's AND, taken from the leaf words; the ANDs of
+  * parents with unknown children are kept on a prefix stack. In a wave
+  * the last value of an attribute whose siblings are all counted gets its
+  * s_D by subtraction. A large wave or batch is split into contiguous
+  * chunks counted in parallel on the common ForkJoin pool, each with its
+  * own buffers; the results are the same as the sequential loop's.
   *
   * @param rows        encoded tuples in rank order; `rows(i)(a)` is the
   *                    value index of attribute `a` in the rank-(i+1) tuple
@@ -103,10 +104,11 @@ final class DatasetIndex(
     *
     * Each pattern is counted as the child of its parent (the pattern with
     * its [[Pattern.maxIdx]] attribute set to wildcard) by the per-slot
-    * loop and prefix stacks of [[countWave]], so a batch that lists
-    * siblings next to each other pays one pass per child. The batch is
-    * cut into [[DatasetIndex.chunks]] contiguous chunks by the words it
-    * reads, ⌈n/64⌉ per unknown slot and ⌈k/64⌉ per known one.
+    * loop, prefix stack and ⌈k/64⌉-word parent ANDs of [[countWave]], so
+    * a batch that lists siblings next to each other pays one pass per
+    * child. The batch is cut into [[DatasetIndex.chunks]] contiguous
+    * chunks by the words it reads, ⌈n/64⌉ per unknown slot and ⌈k/64⌉ per
+    * known one.
     *
     * @throws IllegalArgumentException if `k < 0` or a pattern's width is
     *         not [[width]]
@@ -118,7 +120,8 @@ final class DatasetIndex(
     var i = 0
     while (i < n) {
       val w = patterns(i).width
-      require(w == width, s"pattern ${patterns(i)} has width $w, the index has $width attributes")
+      if (w != width)
+        throw new IllegalArgumentException(s"pattern ${patterns(i)} has width $w, the index has $width attributes")
       if (sD(i) >= 0) known += 1
       i += 1
     }
@@ -139,16 +142,18 @@ final class DatasetIndex(
     * The wave is cut into chunks of whole parents, as many as
     * [[DatasetIndex.chunks]] gives for its slots (at most one per parent),
     * at the parents nearest to equal shares of the slots; more than one
-    * chunk is counted on the common ForkJoin pool. Each chunk keeps two
-    * prefix stacks, one buffer per constraint level: level `l` holds the
-    * AND of the parent's first `l` constraints, over all ⌈n/64⌉ words in
-    * the full stack and over the first ⌈k/64⌉ in the head stack. A parent
-    * with an unknown slot is loaded into the full stack; one whose slots
-    * are all known is read from the full stack if it holds that parent,
-    * and loaded into the head stack otherwise. A stack is refreshed from
-    * the first level at which the parent differs from the last one it
-    * held, and a wave lists siblings' children next to each other, so a
-    * parent costs about one pass. Each slot then costs one AND + popcount.
+    * chunk is counted on the common ForkJoin pool. A parent whose slots
+    * all have a known s_D needs only top-k counts: its AND over the first
+    * ⌈k/64⌉ words is taken from its constraints' leaf words directly, and
+    * each slot costs one AND + popcount over those words. A wave whose
+    * slots are all known (a search reaching nodes counted at an earlier
+    * k) is counted so without looking at a slot's s_D. A parent with an
+    * unknown slot is loaded into the chunk's prefix stack, one buffer per
+    * constraint level: level `l` holds the AND of the parent's first `l`
+    * constraints over all ⌈n/64⌉ words. The stack is refreshed from the
+    * first level at which the parent differs from the last one it held,
+    * and a wave lists siblings' children next to each other, so a parent
+    * costs about one pass. Each slot then costs one AND + popcount.
     *
     * Every row holds exactly one value per attribute (the constructor
     * checks), so a parent's s_D is the sum of its children's on one
@@ -180,18 +185,17 @@ final class DatasetIndex(
     val starts = slotStarts(parents)
     val n = starts(parents.length)
     val kk = math.min(k, size)
+    var known = 0
+    var i = 0
+    while (i < n) {
+      if (sD(i) >= 0) known += 1
+      i += 1
+    }
+    val allKnown = known == n
     val c =
       if (chunks > 0) chunks
-      else {
-        var known = 0
-        var i = 0
-        while (i < n) {
-          if (sD(i) >= 0) known += 1
-          i += 1
-        }
-        math.min(DatasetIndex.chunks(n, nWords, DatasetIndex.Cpus, known, (kk + 63) >>> 6), parents.length)
-      }
-    if (c <= 1) new Chunk(kk).wave(parents, starts, 0, parents.length, sD, topK)
+      else math.min(DatasetIndex.chunks(n, nWords, DatasetIndex.Cpus, known, (kk + 63) >>> 6), parents.length)
+    if (c <= 1) new Chunk(kk).wave(parents, starts, 0, parents.length, sD, topK, allKnown)
     else {
       // chunk j starts at the first parent whose slots start at or after j·n/c
       val cuts = Array.tabulate(c + 1) { j =>
@@ -208,7 +212,7 @@ final class DatasetIndex(
         }
       }
       java.util.stream.IntStream.range(0, c).parallel().forEach { j =>
-        new Chunk(kk).wave(parents, starts, cuts(j), cuts(j + 1), sD, topK)
+        new Chunk(kk).wave(parents, starts, cuts(j), cuts(j + 1), sD, topK, allKnown)
       }
     }
   }
@@ -222,12 +226,14 @@ final class DatasetIndex(
     while (p < parents.length) {
       val as = parents(p).attrs
       val vs = parents(p).vals
-      require(as.length == vs.length, s"parent $p has ${as.length} attributes and ${vs.length} values")
+      // `if`/`throw`, not `require`: a message closure would box the loop's vars
+      if (as.length != vs.length)
+        throw new IllegalArgumentException(s"parent $p has ${as.length} attributes and ${vs.length} values")
       var last = -1
       var i = 0
       while (i < as.length) {
         val a = as(i)
-        require(a > last && a < width && vs(i) >= 0 && vs(i) < words(a).length,
+        if (a <= last || a >= width || vs(i) < 0 || vs(i) >= words(a).length) throw new IllegalArgumentException(
           s"parent $p: constraint ${i + 1} (attribute $a, value ${vs(i)}) is out of order or outside the schema")
         last = a
         i += 1
@@ -238,12 +244,12 @@ final class DatasetIndex(
     starts
   }
 
-  /** A prefix stack over the first `len` words: `level(l)` holds the AND
-    * of the first `l` loaded constraints. Level 0 is [[ones]] and level 1
-    * the first constraint's bitset itself; the deeper levels are buffers
-    * of this stack, allocated when first reached.
+  /** A prefix stack over all ⌈n/64⌉ words: `level(l)` holds the AND of
+    * the first `l` loaded constraints. Level 0 is [[ones]] and level 1 the
+    * first constraint's bitset itself; the deeper levels are buffers of
+    * this stack, allocated when first reached.
     */
-  private final class Stack(len: Int) {
+  private final class Stack {
     private val attrs = new Array[Int](width)
     private val vals = new Array[Int](width)
     private val level = new Array[Array[Long]](width + 1)
@@ -258,9 +264,6 @@ final class DatasetIndex(
       d
     }
 
-    /** Whether the stack holds exactly the first `n` constraints of `as` / `vs`. */
-    def holds(as: Array[Int], vs: Array[Int], n: Int): Boolean = depth == n && common(as, vs, n) == n
-
     /** Loads the first `n` constraints of `as` / `vs` from the first level
       * at which they differ from the loaded ones; returns their AND.
       */
@@ -272,11 +275,11 @@ final class DatasetIndex(
         val leaf = words(as(d))(vs(d))
         if (d == 0) level(1) = leaf
         else {
-          if (level(d + 1) eq null) level(d + 1) = new Array[Long](len)
+          if (level(d + 1) eq null) level(d + 1) = new Array[Long](nWords)
           val buf = level(d + 1)
           val prev = level(d)
           var j = 0
-          while (j < len) {
+          while (j < nWords) {
             buf(j) = prev(j) & leaf(j)
             j += 1
           }
@@ -288,20 +291,33 @@ final class DatasetIndex(
     }
   }
 
-  /** One chunk's counting state at `kk = min(k, |D|)`: a full and a head
-    * [[Stack]], and the per-slot loop both kernel paths share.
+  /** One chunk's counting state at `kk = min(k, |D|)`: a [[Stack]] for
+    * parents with unknown slots, a ⌈k/64⌉-word buffer for the others, and
+    * the per-slot loop both kernel paths share.
     */
   private final class Chunk(kk: Int) {
     private val kFull = kk >>> 6
     private val kMask = (1L << kk) - 1 // low (kk & 63) bits; unused when kk & 63 == 0
-    private val full = new Stack(nWords)
-    private val head = new Stack((kk + 63) >>> 6)
+    private val full = new Stack
+    private val head = new Array[Long]((kk + 63) >>> 6)
 
-    /** The AND of the first `n` constraints of `as` / `vs`, from the full
-      * stack if `unknown` or if it holds them, else from the head stack.
+    /** The AND of the first `n` constraints of `as` / `vs` over the first
+      * ⌈k/64⌉ words, taken from their leaf words into [[head]].
       */
-    private def parent(as: Array[Int], vs: Array[Int], n: Int, unknown: Boolean): Array[Long] =
-      if (unknown || full.holds(as, vs, n)) full.load(as, vs, n) else head.load(as, vs, n)
+    private def loadHead(as: Array[Int], vs: Array[Int], n: Int): Array[Long] = {
+      java.util.Arrays.fill(head, -1L)
+      var d = 0
+      while (d < n) {
+        val leaf = words(as(d))(vs(d))
+        var j = 0
+        while (j < head.length) {
+          head(j) &= leaf(j)
+          j += 1
+        }
+        d += 1
+      }
+      head
+    }
 
     /** Popcount of `par & leaf` over the first `kk` positions. */
     private def top(par: Array[Long], leaf: Array[Long]): Int = {
@@ -331,7 +347,9 @@ final class DatasetIndex(
       topK(i) = top(par, leaf)
     }
 
-    /** Counts the slots of `parents(from until to)`, the first at `starts(from)`. */
+    /** Counts the slots of `parents(from until to)`, the first at
+      * `starts(from)`; with `allKnown`, every slot's s_D is known.
+      */
     def wave(
         parents: IndexedSeq[PatternCounter.Parent],
         starts: Array[Int],
@@ -339,49 +357,80 @@ final class DatasetIndex(
         to: Int,
         sD: Array[Int],
         topK: Array[Int],
+        allKnown: Boolean,
     ): Unit = {
       var p = from
       while (p < to) {
-        val q = parents(p)
-        val as = q.attrs
-        val n = as.length
-        var i = starts(p)
+        val start = starts(p)
         val end = starts(p + 1)
-        var unknown = false
-        var j = i
-        while (j < end && !unknown) {
-          unknown = sD(j) < 0
-          j += 1
-        }
-        if (i < end) {
-          val par = parent(as, q.vals, n, unknown)
-          var a = if (n == 0) 0 else as(n - 1) + 1
-          while (a < width) {
-            val leaves = words(a)
-            val last = leaves.length - 1
-            var subtract = true
-            j = i
-            while (j <= i + last) {
-              if (sD(j) >= 0) subtract = false
-              j += 1
-            }
-            var sum = 0L
-            var v = 0
-            while (v <= last) {
-              if (v == last && subtract) {
-                sD(i) = (q.sD - sum).toInt
-                topK(i) = top(par, leaves(v))
-              } else {
-                slot(par, leaves(v), i, sD, topK)
-                sum += sD(i)
-              }
-              v += 1
-              i += 1
-            }
-            a += 1
+        if (start < end) {
+          var known = allKnown
+          if (!known) {
+            var j = start
+            while (j < end && sD(j) >= 0) j += 1
+            known = j == end
           }
+          if (known) topOnly(parents(p), start, topK)
+          else counted(parents(p), start, sD, topK)
         }
         p += 1
+      }
+    }
+
+    /** Counts the top-k of `q`'s slots, the first at `first`, from its AND
+      * over the first ⌈k/64⌉ words.
+      */
+    private def topOnly(q: PatternCounter.Parent, first: Int, topK: Array[Int]): Unit = {
+      val as = q.attrs
+      val n = as.length
+      val par = loadHead(as, q.vals, n)
+      var i = first
+      var a = if (n == 0) 0 else as(n - 1) + 1
+      while (a < width) {
+        val leaves = words(a)
+        var v = 0
+        while (v < leaves.length) {
+          topK(i) = top(par, leaves(v))
+          v += 1
+          i += 1
+        }
+        a += 1
+      }
+    }
+
+    /** Counts `q`'s slots, the first at `first`, some with an unknown s_D,
+      * from its AND on the prefix stack; the last value of an attribute
+      * whose slots are all unknown by subtraction.
+      */
+    private def counted(q: PatternCounter.Parent, first: Int, sD: Array[Int], topK: Array[Int]): Unit = {
+      val as = q.attrs
+      val n = as.length
+      val par = full.load(as, q.vals, n)
+      var i = first
+      var a = if (n == 0) 0 else as(n - 1) + 1
+      while (a < width) {
+        val leaves = words(a)
+        val last = leaves.length - 1
+        var subtract = true
+        var j = i
+        while (j <= i + last) {
+          if (sD(j) >= 0) subtract = false
+          j += 1
+        }
+        var sum = 0L
+        var v = 0
+        while (v <= last) {
+          if (v == last && subtract) {
+            sD(i) = (q.sD - sum).toInt
+            topK(i) = top(par, leaves(v))
+          } else {
+            slot(par, leaves(v), i, sD, topK)
+            sum += sD(i)
+          }
+          v += 1
+          i += 1
+        }
+        a += 1
       }
     }
 
@@ -406,7 +455,10 @@ final class DatasetIndex(
         if (n == 0) {
           if (sD(i) < 0) sD(i) = size
           topK(i) = kk
-        } else slot(parent(as, vs, n - 1, sD(i) < 0), words(as(n - 1))(vs(n - 1)), i, sD, topK)
+        } else {
+          val par = if (sD(i) < 0) full.load(as, vs, n - 1) else loadHead(as, vs, n - 1)
+          slot(par, words(as(n - 1))(vs(n - 1)), i, sD, topK)
+        }
         i += 1
       }
     }

@@ -51,10 +51,11 @@ object PropBounds {
   *  2. the nodes scheduled for k (the paper's `K`) are verified against
   *     their live counts: each turns biased, or is rescheduled at the next
   *     k its grown count allows;
-  *  3. the nodes whose biased flag changed and those a fresh search
-  *     created re-decide, level by level, whether they are clean and in `Res[k]`
+  *  3. the nodes whose biased flag changed re-decide, level by level,
+  *     whether they are clean and in `Res[k]`
   *     ([[TopDownSearch.Node.clean]]); a node whose clean flag flipped
-  *     has its lattice children re-decided on the next level.
+  *     has its lattice children re-decided on the next level. A search
+  *     decides the nodes it creates itself.
   *
   * A node that turns biased keeps its tracked subtree, so a later
   * recovery needs no new search. Both facts need thresholds that do not
@@ -106,7 +107,7 @@ private[core] object Incremental {
     }
 
     /** Algorithm 1 at k below the never-expanded `parents`: schedules the
-      * nodes it opens and returns every node it reaches.
+      * nodes it opens and returns its findings.
       */
     def search(parents: Iterable[Node], k: Int): TopDownSearch.Found = {
       val found = tree.search(parents, k, budget)
@@ -144,15 +145,17 @@ private[core] object Incremental {
       * lattice children it can change to the next level: when it turns
       * clean, those reached through clean nodes, else those clean or in `Res`.
       *
-      * Of the nodes a search creates, only a fresh search's are `touched`:
-      * the root never flips. A search resumed below a recovered node
-      * creates its super-patterns only, which can be clean or in `Res`
-      * only once it is clean; its clean flip queues them level by level,
-      * and until then their unset flags are right.
+      * The nodes a search creates are not `touched`: the search decides
+      * their clean flags itself. A fresh search from the root decides them
+      * level by level, as this would, and its most general nodes enter
+      * `Res`. A search resumed below a recovered node creates its
+      * super-patterns only, which the search finds unclean, since the
+      * node is not clean yet; the node's clean flip queues them level by
+      * level.
       */
     def settle(): Unit = {
       val levels = Array.fill(width + 1)(mutable.ArrayBuffer.empty[Node])
-      touched.foreach(n => levels(n.p.level) += n)
+      touched.foreach(n => levels(n.attrs.length) += n)
       for (l <- 1 to width; n <- levels(l)) {
         val parentsClean = tree.parentsClean(n)
         if (n.inRes != (n.biased && parentsClean)) {
@@ -175,10 +178,10 @@ private[core] object Incremental {
       if (budget.expired) timedOut = true
       else if (k == kMin || bound.fallsAt(k)) {
         tree = new TopDownSearch.Tree(counter, bound, tauS)
-        mostGeneral = Set.empty
         due = new Array(kMax - kMin + 1)
         val found = search(Seq(tree.root), k)
-        touched ++= found.opened ++= found.biased
+        found.mostGeneral.foreach(_.inRes = true)
+        mostGeneral = found.mostGeneral.iterator.map(_.p).toSet
       } else {
         walk(tree.root, counter.rankedRow(k), k)
         search(recovered, k)

@@ -29,8 +29,10 @@ final case class DetectionResult(
   * [[TopDownSearch.Tree]], whose expanded nodes hold their children's s_D
   * ([[TopDownSearch.Node.childSD]]), so a pattern's s_D is counted at
   * most once per run and each later visit counts only its top-k. Each k's
-  * `Res` is decided on the nodes its search reached
-  * ([[TopDownSearch.snapshot]]). Nothing is kept between runs.
+  * `Res` is decided inside its search, wave by wave, from the clean flags
+  * that search set on the nodes it reached: each search from the root
+  * takes a new stamp, so a flag from an earlier k counts for nothing
+  * ([[TopDownSearch.Tree.search]]). Nothing is kept between runs.
   */
 object IterTD {
 
@@ -52,7 +54,7 @@ object IterTD {
       val found = tree.search(Seq(tree.root), k, budget)
       examined += found.examined
       timedOut = found.timedOut
-      if (!timedOut) res += k -> TopDownSearch.snapshot(tree, found)
+      if (!timedOut) res += k -> found.mostGeneral.iterator.map(_.p).toSet
       k += 1
     }
     DetectionResult(res, examined, timedOut)

@@ -40,6 +40,7 @@ object DivergenceExplorer {
         val oG = n.cnt.toDouble / n.sD
         DivGroup(n.p, n.sD, oG, oG - oD)
       }
+      .toVector
       .sortBy(g => (-g.divergence, g.p.toString))
   }
 }

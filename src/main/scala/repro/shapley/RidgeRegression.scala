@@ -29,16 +29,7 @@ object RidgeRegression {
       offsets: IndexedSeq[Int],
       weights: Array[Double],
       featureMeans: Array[Double],
-  ) {
-
-    /** Predicted label for an encoded tuple (value index per attribute). */
-    def predict(row: Array[Int]): Double =
-      attrCols.indices.foldLeft(weights(offsets.last))((y, a) => y + weights(offsets(a) + row(a)))
-
-    /** Mean prediction over the training (background) distribution. */
-    def meanPrediction: Double =
-      (0 until offsets.last).foldLeft(weights(offsets.last))((y, j) => y + weights(j) * featureMeans(j))
-  }
+  )
 
   /** Fit on encoded tuples (`rows(i)(a)`: the value index of attribute
     * `a`) labelled by `labels(i)`.

@@ -253,6 +253,63 @@ class DatasetIndexSpec extends AnyFunSuite {
     }
   }
 
+  /** `sD` input for a wave over `parents` in which each parent's slots
+    * are either all known (a distinct value no s_D can take) or a
+    * [[KernelBatches.mixedSizes]] mix, chosen at random per parent.
+    */
+  private def knownByParent(ix: DatasetIndex, parents: Seq[Pattern], rnd: scala.util.Random): Array[Int] = {
+    val groups = parents.map { q =>
+      val slots = q.searchTreeChildren(ix.domainSizes).size
+      if (slots == 0) Array.empty[Int]
+      else if (rnd.nextBoolean()) Array.fill(slots)(0)
+      else if (slots == 1) Array(PatternCounter.Unknown)
+      else KernelBatches.mixedSizes(slots, rnd).map(d => if (d >= 0) 0 else d)
+    }
+    val sD = groups.flatten.toArray
+    for (i <- sD.indices if sD(i) >= 0) sD(i) = Int.MaxValue - i
+    sD
+  }
+
+  test("countWave with every s_D known equals naive scans at the word boundaries of n and k, in 1 chunk and many") {
+    for (n <- KernelBatches.Sizes) {
+      val rix = RandomData.index(seed = n + 500, n = n, m = 4)
+      val rnd = new scala.util.Random(n + 500)
+      val batches = KernelBatches.batches(rix.domainSizes, rnd)
+      val ranks = KernelBatches.matchingRanks(rix, batches.head._2)
+      for ((name, patterns) <- batches; k <- KernelBatches.waveKs(n)) {
+        val children = KernelBatches.children(rix.domainSizes, patterns)
+        val parents = patterns.map(KernelBatches.parent(ranks, _))
+        val preset = Array.tabulate(children.size)(i => Int.MaxValue - i)
+        for (chunks <- Seq(0, 1, 2, 7, parents.size)) {
+          val (sD, topK) = wave(rix, parents, k, preset, chunks)
+          val wrong = KernelBatches.wrongSlots(ranks, children, k, preset, sD, topK)
+          assert(wrong.isEmpty, s"n=$n k=$k parents=$name chunks=$chunks: ${wrong.take(5).map(children)}")
+        }
+      }
+    }
+  }
+
+  test("countWave over parents whose slots are all known mixed with parents with unknown slots equals naive scans") {
+    for ((rix, seed) <- Seq(RandomData.index(seed = 14, n = 129, m = 4) -> 14, large -> 15)) {
+      val rnd = new scala.util.Random(seed)
+      val batches = KernelBatches.batches(rix.domainSizes, rnd)
+      val ranks = KernelBatches.matchingRanks(rix, batches.head._2)
+      for ((name, patterns) <- batches; k <- Seq(0, 1, 64, 65, 129, rix.size)) {
+        val children = KernelBatches.children(rix.domainSizes, patterns)
+        val parents = patterns.map(KernelBatches.parent(ranks, _))
+        val preset = knownByParent(rix, patterns, rnd)
+        assert(preset.exists(_ >= 0) && preset.exists(_ < 0))
+        val (sD, topK) = wave(rix, parents, k, preset)
+        val wrong = KernelBatches.wrongSlots(ranks, children, k, preset, sD, topK)
+        assert(wrong.isEmpty, s"n=${rix.size} k=$k parents=$name: ${wrong.take(5).map(children)}")
+        for (chunks <- Seq(1, 7, parents.size)) {
+          val (d, t) = wave(rix, parents, k, preset, chunks)
+          assert(d.sameElements(sD) && t.sameElements(topK), s"n=${rix.size} k=$k parents=$name chunks=$chunks")
+        }
+      }
+    }
+  }
+
   test("countWave takes a last sibling's s_D by subtraction only when all its siblings are unknown") {
     // Each parent's s_D is passed in one too high: a slot counted by
     // subtraction reads one too high, every other slot is exact.

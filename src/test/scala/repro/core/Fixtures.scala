@@ -74,8 +74,26 @@ object MostGeneralFixture {
     */
   def dres(counter: PatternCounter, bound: BiasBound, tauS: Long, k: Int): Set[Pattern] = {
     val tree = new TopDownSearch.Tree(counter, bound, tauS)
-    val reached = tree.search(Seq(tree.root), k, Budget.unlimited).biased.map(_.p).toSet
+    tree.search(Seq(tree.root), k, Budget.unlimited)
+    val reached = SearchReach.reached(tree).filter(_.biased).map(_.p).toSet
     reached -- IterTD.run(counter, bound, tauS, k, k).resByK(k)
+  }
+}
+
+/** The nodes of a search tree that its last search from the root reached. */
+object SearchReach {
+  import TopDownSearch.Node
+
+  /** Every node below the root that the last search from the root reached,
+    * read off the tree: that search set each reached node's biased flag,
+    * cut the biased ones and expanded the others, so a node is reached iff
+    * its search-tree parent is the root or a reached unbiased node.
+    */
+  def reached(tree: TopDownSearch.Tree): Vector[Node] = {
+    def below(n: Node): Iterator[Node] =
+      if (n.children eq null) Iterator.empty
+      else n.children.iterator.filter(_ ne null).flatMap(c => Iterator(c) ++ (if (c.biased) Iterator.empty else below(c)))
+    below(tree.root).toVector
   }
 }
 
@@ -342,15 +360,17 @@ final class ExpiringCounter(ix: DatasetIndex, expireAt: Int, budget: Budget) ext
   * tests that pin a case of the clean-parent rule of `Res[k]`: a pattern
   * is clean at k if it and all its sub-patterns are unbiased, with
   * `s_D ≥ τ_s`; a biased pattern is most general iff its immediate parents
-  * are all clean.
+  * are all clean. Each pattern's counts are taken once per k.
   */
 final class PatternStates(ix: DatasetIndex, bound: BiasBound, tauS: Long) {
   import IndexCounts._
+  private val counts = scala.collection.mutable.HashMap.empty[(Pattern, Int), (Int, Int)]
+  private def sizes(q: Pattern, k: Int): (Int, Int) = counts.getOrElseUpdate((q, k), ix.sizes(q, k))
 
-  def large(q: Pattern): Boolean = ix.sizeD(q) >= tauS
+  def large(q: Pattern): Boolean = sizes(q, 0)._1 >= tauS
 
   def biased(q: Pattern, k: Int): Boolean = {
-    val (d, t) = ix.sizes(q, k)
+    val (d, t) = sizes(q, k)
     d >= tauS && bound.biased(t, d, k)
   }
 
@@ -403,6 +423,38 @@ object RuleWitnesses {
       p <- st.latticeChildren(q)
       if st.biased(p, k) && st.reached(p, k) && p.parents.forall(r => r == q || st.clean(r, k))
     } yield (k, q, p)
+  }
+
+  /** `(k1, k2, n, q)` for an ITERTD run over `[kMin, kMax]`: `q` is an
+    * immediate parent of `n` other than its search-tree parent, the search
+    * at `k1` reaches `n` while no search up to `k1` has created `q`, and
+    * `k2` is the first later k whose search reaches `n` with `q` created.
+    * There `q` decides `n`: `n` is clean or most general at `k2`, so the
+    * edge from `n` to `q`, absent at `k1`, must be found at `k2`.
+    */
+  def lateParent(ix: DatasetIndex, bound: BiasBound, tauS: Long, kMin: Int, kMax: Int): Seq[(Int, Int, Pattern, Pattern)] = {
+    val st = new PatternStates(ix, bound, tauS)
+    val region = BruteForce.tauRegion(ix, tauS)
+    def created(q: Pattern, k: Int) = (kMin to k).exists(st.reached(q, _))
+    for {
+      n <- region if n.level >= 2
+      q <- n.parents if q.maxIdx == n.maxIdx
+      k1 <- kMin until kMax if st.reached(n, k1) && !created(q, k1)
+      k2 <- ((k1 + 1) to kMax).find(k => st.reached(n, k) && created(q, k))
+      if st.clean(n, k2) || st.mostGeneral(n, k2)
+    } yield (k1, k2, n, q)
+  }
+
+  /** `(k, q)`: a search at `k` reaches `q` biased and cuts it, and the
+    * search at `k + 1` reaches it unbiased and opens it.
+    */
+  def reopened(ix: DatasetIndex, bound: BiasBound, tauS: Long, kMin: Int, kMax: Int): Seq[(Int, Pattern)] = {
+    val st = new PatternStates(ix, bound, tauS)
+    for {
+      q <- BruteForce.tauRegion(ix, tauS)
+      k <- kMin until kMax
+      if st.reached(q, k) && st.biased(q, k) && st.reached(q, k + 1) && !st.biased(q, k + 1)
+    } yield (k, q)
   }
 
   /** `(k, n, b)` for an incremental run over `[kMin, kMax]` whose bound

@@ -120,13 +120,14 @@ class IterTDSpec extends AnyFunSuite {
     val log = new SizeLogCounter(counter)
     val tree = new TopDownSearch.Tree(log, bound, 4)
     val root = tree.root
-    def visited(f: TopDownSearch.Found) = f.opened ++ f.biased
-    val at4 = visited(tree.search(Seq(root), 4, Budget.unlimited))
+    def visited(k: Int) = { tree.search(Seq(root), k, Budget.unlimited); SearchReach.reached(tree) }
+    val at4 = visited(4)
     val cnt4 = at4.map(n => n -> n.cnt).toMap
     val at5 = tree.search(Seq(root), 5, Budget.unlimited)
-    assert(at5.opened.isEmpty && at5.biased.nonEmpty && at5.biased.forall(_.p.level == 1))
+    val biased5 = SearchReach.reached(tree).filter(_.biased)
+    assert(at5.opened.isEmpty && biased5.nonEmpty && biased5.forall(_.p.level == 1))
     log.clear()
-    val at6 = visited(tree.search(Seq(root), 6, Budget.unlimited))
+    val at6 = visited(6)
     val reused = at6.filter(n => n.p.level >= 2 && cnt4.contains(n))
     assert(reused.exists(n => cnt4(n) != n.cnt), "no stale count to overwrite")
     for (n <- at6) {
@@ -185,6 +186,54 @@ class IterTDSpec extends AnyFunSuite {
       }
     }
     assert(mostFlips >= 6, s"no pattern changed state more than $mostFlips times")
+  }
+
+  /** `Res[k]` by the [[MostGeneral]] oracle: the most general members of
+    * the biased patterns with `s_D ≥ τ_s`, kept under each k's delta.
+    */
+  private def oracleRes(rix: DatasetIndex, bound: BiasBound, tauS: Long, kMin: Int, kMax: Int): Map[Int, Set[Pattern]] = {
+    val region = BruteForce.tauRegion(rix, tauS)
+    val mg = new MostGeneral
+    var biased = Set.empty[Pattern]
+    (kMin to kMax).map { k =>
+      val now = region.filter { q =>
+        val (d, t) = rix.sizes(q, k)
+        bound.biased(t, d, k)
+      }.toSet
+      mg.update(biased -- now, now -- biased)
+      biased = now
+      k -> mg.res
+    }.toMap
+  }
+
+  test("property: ITERTD's in-wave Res[k] ≡ the MostGeneral oracle ≡ brute force at every k, lattice parents created at a later k included") {
+    // Random tied data under both bound types, and Figure 1 with every
+    // level-1 pattern biased at k = 5 only (the "biased at k, open at
+    // k + 1" case above).
+    val random = for (seed <- 0L until 40L) yield {
+      val rix = sample(tiedData, seed + 100)
+      val n = rix.size
+      val tauS = 1 + seed % 3
+      val bound =
+        if (seed % 2 == 0) ProportionalLowerBound(0.6 + 0.1 * (seed % 5), n.toLong)
+        else RandomData.wavyBound(seed, n)
+      (s"seed=$seed", rix, bound: BiasBound, tauS, 1 + (seed % 4).toInt, math.min(n, 30))
+    }
+    val figure1 = ("Figure 1", ix, GlobalLowerBound(k => if (k == 5) 100.0 else 1.0): BiasBound, 4L, 4, 6)
+    var late = 0
+    var reopened = 0
+    for ((name, rix, bound, tauS, kMin, kMax) <- random :+ figure1) {
+      val got = IterTD.run(new LocalPatternCounter(rix), bound, tauS, kMin, kMax).resByK
+      val expect = BruteForce.run(rix, bound, tauS, kMin, kMax)
+      assert(got == expect, s"$name $bound")
+      assert(got == oracleRes(rix, bound, tauS, kMin, kMax), s"$name $bound")
+      late += RuleWitnesses.lateParent(rix, bound, tauS, kMin, kMax).size
+      val again = RuleWitnesses.reopened(rix, bound, tauS, kMin, kMax)
+      if (name == "Figure 1") assert(again.exists(_._1 == 5), "Figure 1 does not reopen its level-1 nodes at k = 6")
+      reopened += again.size
+    }
+    assert(late > 0, "no lattice parent was created after a search reached its child")
+    assert(reopened > 0)
   }
 
   test("property: heavy churn on 300 tuples, k ∈ [1,300]: ITERTD ≡ GlobalBounds / PropBounds ≡ brute force at every k") {

