@@ -3,6 +3,7 @@ package repro.bench
 import repro.SparkSpec
 import repro.exp.{Experiments, Tables}
 import repro.shapley.ResultAnalysis
+import repro.core.PatternLattice._
 
 /** Figure 10's explanations, shared by T4 and T5: computed once per bench
   * JVM, by the first of the two suites to run.

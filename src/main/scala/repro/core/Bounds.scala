@@ -94,6 +94,14 @@ object Budget {
   /** No deadline. */
   val unlimited: Budget = new Budget(Long.MaxValue)
 
-  /** Budget expiring `millis` from now. */
-  def ofMillis(millis: Long): Budget = new Budget(System.nanoTime() + millis * 1000000L)
+  /** Budget expiring `millis` from now; already expired if `millis` is
+    * negative. A deadline past the clock's range is none: it saturates at
+    * `Long.MaxValue`, where `now + millis × 10⁶` would wrap into the past.
+    */
+  def ofMillis(millis: Long): Budget = {
+    val now = System.nanoTime()
+    val nanos = math.max(math.min(millis, Long.MaxValue / 1000000L), -1L) * 1000000L
+    val deadline = now + nanos
+    new Budget(if (nanos > 0 && deadline < now) Long.MaxValue else deadline)
+  }
 }

@@ -10,17 +10,16 @@ package repro.core
   * positions.
   *
   * A search-tree child (Definition 4.1) is its parent plus one
-  * attribute-value. The searches count a wave of children through
-  * [[countWave]], from the parents' constraints, and a batch of patterns
-  * goes through [[countInto]]; both count each child with one AND +
-  * popcount pass over its parent's AND. s_D does not depend on k: a child
-  * whose s_D the caller already knows costs only the first ⌈k/64⌉ words,
-  * and so does its parent's AND, taken from the leaf words; the ANDs of
-  * parents with unknown children are kept on a prefix stack. In a wave
-  * the last value of an attribute whose siblings are all counted gets its
-  * s_D by subtraction. A large wave or batch is split into contiguous
-  * chunks counted in parallel on the common ForkJoin pool, each with its
-  * own buffers; the results are the same as the sequential loop's.
+  * attribute-value. [[countWave]], the index's one counting method, counts
+  * a wave of children from the parents' constraints, each child with one
+  * AND + popcount pass over its parent's AND. s_D does not depend on k: a
+  * child whose s_D the caller already knows costs only the first ⌈k/64⌉
+  * words, and so does its parent's AND, taken from the leaf words; the
+  * ANDs of parents with unknown children are kept on a prefix stack. The
+  * last value of an attribute whose siblings are all counted gets its s_D
+  * by subtraction from a known parent s_D. A large wave is split into
+  * contiguous chunks counted in parallel on the common ForkJoin pool, each
+  * with its own buffers; the results are the same as the sequential loop's.
   *
   * @param rows        encoded tuples in rank order; `rows(i)(a)` is the
   *                    value index of attribute `a` in the rank-(i+1) tuple
@@ -84,60 +83,12 @@ final class DatasetIndex(
     */
   private val ones: Array[Long] = Array.fill(nWords)(-1L)
 
-  /** Counts every pattern of `patterns`: `sD(i)` receives s_D and
-    * `topK(i)` receives s_{R^k(D)} of the i-th pattern. This is
-    * [[countInto]] with every s_D unknown.
-    *
-    * @throws IllegalArgumentException if `k < 0` or a pattern's width is
-    *         not [[width]]
-    */
-  def countBatch(patterns: IndexedSeq[Pattern], k: Int, sD: Array[Int], topK: Array[Int]): Unit = {
-    java.util.Arrays.fill(sD, 0, patterns.length, PatternCounter.Unknown)
-    countInto(patterns, k, sD, topK)
-  }
-
-  /** The pattern path of the kernel: `topK(i)` receives s_{R^k(D)} of the
-    * i-th pattern, and `sD(i)` its s_D if `sD(i)` is negative on entry
-    * ([[PatternCounter.Unknown]]). A slot with a known s_D is left as it
-    * is and costs only the first ⌈k/64⌉ words, where an unknown one reads
-    * all ⌈n/64⌉.
-    *
-    * Each pattern is counted as the child of its parent (the pattern with
-    * its [[Pattern.maxIdx]] attribute set to wildcard) by the per-slot
-    * loop, prefix stack and ⌈k/64⌉-word parent ANDs of [[countWave]], so
-    * a batch that lists siblings next to each other pays one pass per
-    * child. The batch is cut into [[DatasetIndex.chunks]] contiguous
-    * chunks by the words it reads, ⌈n/64⌉ per unknown slot and ⌈k/64⌉ per
-    * known one.
-    *
-    * @throws IllegalArgumentException if `k < 0` or a pattern's width is
-    *         not [[width]]
-    */
-  def countInto(patterns: IndexedSeq[Pattern], k: Int, sD: Array[Int], topK: Array[Int]): Unit = {
-    require(k >= 0, s"k must be non-negative: $k")
-    val n = patterns.length
-    var known = 0
-    var i = 0
-    while (i < n) {
-      val w = patterns(i).width
-      if (w != width)
-        throw new IllegalArgumentException(s"pattern ${patterns(i)} has width $w, the index has $width attributes")
-      if (sD(i) >= 0) known += 1
-      i += 1
-    }
-    val kk = math.min(k, size)
-    val chunks = DatasetIndex.chunks(n, nWords, DatasetIndex.Cpus, known, (kk + 63) >>> 6)
-    if (chunks == 1) new Chunk(kk).batch(patterns, 0, n, sD, topK)
-    else
-      java.util.stream.IntStream.range(0, chunks).parallel().forEach { c =>
-        new Chunk(kk).batch(patterns, (c.toLong * n / chunks).toInt, ((c + 1).toLong * n / chunks).toInt, sD, topK)
-      }
-  }
-
   /** The wave kernel, [[PatternCounter.countWave]]: counts the children
     * of `parents`, slot by slot in [[Pattern.searchTreeChildren]]'s order,
-    * into `sD` / `topK` as [[countInto]] does, known s_D kept. No
-    * [[Pattern]] is read or built.
+    * into `sD` / `topK`: `topK(i)` receives slot `i`'s s_{R^k(D)}, and
+    * `sD(i)` its s_D if `sD(i)` is negative on entry
+    * ([[PatternCounter.Unknown]]); a known s_D is kept. No [[Pattern]] is
+    * read or built.
     *
     * The wave is cut into chunks of whole parents, as many as
     * [[DatasetIndex.chunks]] gives for its slots (at most one per parent),
@@ -157,10 +108,10 @@ final class DatasetIndex(
     *
     * Every row holds exactly one value per attribute (the constructor
     * checks), so a parent's s_D is the sum of its children's on one
-    * attribute. When every slot of one (parent, attribute) has an
-    * unknown s_D, the last value's s_D is the parent's
-    * ([[PatternCounter.Parent.sD]]) minus its siblings' sum, and only
-    * its top-k is counted. A chunk writes only its own slots, and a count
+    * attribute. When the parent's s_D ([[PatternCounter.Parent.sD]]) is
+    * known and every slot of one (parent, attribute) has an unknown s_D,
+    * the last value's s_D is the parent's minus its siblings' sum, and
+    * only its top-k is counted. A chunk writes only its own slots, and a count
     * depends only on its parent, its slot and `k`, so the results do not
     * depend on the chunking or on thread timing.
     *
@@ -292,8 +243,7 @@ final class DatasetIndex(
   }
 
   /** One chunk's counting state at `kk = min(k, |D|)`: a [[Stack]] for
-    * parents with unknown slots, a ⌈k/64⌉-word buffer for the others, and
-    * the per-slot loop both kernel paths share.
+    * parents with unknown slots and a ⌈k/64⌉-word buffer for the others.
     */
   private final class Chunk(kk: Int) {
     private val kFull = kk >>> 6
@@ -399,19 +349,20 @@ final class DatasetIndex(
     }
 
     /** Counts `q`'s slots, the first at `first`, some with an unknown s_D,
-      * from its AND on the prefix stack; the last value of an attribute
-      * whose slots are all unknown by subtraction.
+      * from its AND on the prefix stack; if `q`'s s_D is known, the last
+      * value of an attribute whose slots are all unknown by subtraction.
       */
     private def counted(q: PatternCounter.Parent, first: Int, sD: Array[Int], topK: Array[Int]): Unit = {
       val as = q.attrs
       val n = as.length
       val par = full.load(as, q.vals, n)
+      val parentSD = q.sD
       var i = first
       var a = if (n == 0) 0 else as(n - 1) + 1
       while (a < width) {
         val leaves = words(a)
         val last = leaves.length - 1
-        var subtract = true
+        var subtract = parentSD >= 0
         var j = i
         while (j <= i + last) {
           if (sD(j) >= 0) subtract = false
@@ -421,7 +372,7 @@ final class DatasetIndex(
         var v = 0
         while (v <= last) {
           if (v == last && subtract) {
-            sD(i) = (q.sD - sum).toInt
+            sD(i) = (parentSD - sum).toInt
             topK(i) = top(par, leaves(v))
           } else {
             slot(par, leaves(v), i, sD, topK)
@@ -431,35 +382,6 @@ final class DatasetIndex(
           i += 1
         }
         a += 1
-      }
-    }
-
-    /** Counts `patterns(from until to)`, each as the child of its parent. */
-    def batch(patterns: IndexedSeq[Pattern], from: Int, to: Int, sD: Array[Int], topK: Array[Int]): Unit = {
-      val as = new Array[Int](width)
-      val vs = new Array[Int](width)
-      var i = from
-      while (i < to) {
-        val p = patterns(i)
-        var n = 0
-        var a = 0
-        while (a < width) {
-          val v = p.vals(a)
-          if (v != Pattern.Wildcard) {
-            as(n) = a
-            vs(n) = v
-            n += 1
-          }
-          a += 1
-        }
-        if (n == 0) {
-          if (sD(i) < 0) sD(i) = size
-          topK(i) = kk
-        } else {
-          val par = if (sD(i) < 0) full.load(as, vs, n - 1) else loadHead(as, vs, n - 1)
-          slot(par, words(as(n - 1))(vs(n - 1)), i, sD, topK)
-        }
-        i += 1
       }
     }
   }
@@ -479,18 +401,18 @@ final class DatasetIndex(
 
 object DatasetIndex {
 
-  /** Work (patterns × words) from which a batch is counted in parallel.
+  /** Work (slots × words) from which a wave is counted in parallel.
     * Below it, forking chunks costs more than it saves.
     */
   private[core] final val ParallelWork: Long = 1L << 18
 
   private[core] val Cpus: Int = Runtime.getRuntime.availableProcessors
 
-  /** Number of chunks for a batch of `patterns` over `nWords`-word
+  /** Number of chunks for a wave of `patterns` slots over `nWords`-word
     * bitsets on `cpus` processors, `known` of which have a known s_D and
     * read only `kWords` words: 1 (the calling thread alone) for small
-    * batches or one CPU, else `4 × cpus` (at most one per pattern), so
-    * that uneven chunks still balance across the pool.
+    * waves or one CPU, else `4 × cpus` (at most one per slot), so that
+    * uneven chunks still balance across the pool.
     */
   private[core] def chunks(patterns: Int, nWords: Int, cpus: Int, known: Int = 0, kWords: Int = 0): Int =
     if (cpus <= 1 || (patterns - known).toLong * nWords + known.toLong * kWords < ParallelWork) 1

@@ -82,22 +82,36 @@ private[core] object Incremental {
       budget: Budget,
   ): DetectionResult = {
     TopDownSearch.requireValid(counter, tauS, kMin, kMax)
-    val width = counter.width
+    new Run(counter, bound, tauS, kMin, kMax, budget).result()
+  }
 
-    var res = SortedMap.empty[Int, Set[Pattern]]
-    var examined = 0L
-    var timedOut = false
+  /** One run's state. Its steps are methods over these fields rather than
+    * local defs over local vars, which the compiler would box on the heap.
+    */
+  private final class Run(
+      counter: PatternCounter,
+      bound: BiasBound,
+      tauS: Long,
+      kMin: Int,
+      kMax: Int,
+      budget: Budget,
+  ) {
+    private val width = counter.width
 
-    var tree: TopDownSearch.Tree = null
+    private var res = SortedMap.empty[Int, Set[Pattern]]
+    private var examined = 0L
+    private var timedOut = false
+
+    private var tree: TopDownSearch.Tree = _
     // Res[k], changed only by inRes flips: an unchanged k shares the set.
-    var mostGeneral = Set.empty[Pattern]
+    private var mostGeneral = Set.empty[Pattern]
     // The paper's K: due(k - kMin) holds the unbiased nodes scheduled to
     // turn biased at k; entries are verified when k is reached.
-    var due: Array[mutable.ArrayBuffer[Node]] = null
-    val touched = mutable.ArrayBuffer.empty[Node]
-    val recovered = mutable.ArrayBuffer.empty[Node]
+    private var due: Array[mutable.ArrayBuffer[Node]] = _
+    private val touched = mutable.ArrayBuffer.empty[Node]
+    private val recovered = mutable.ArrayBuffer.empty[Node]
 
-    def schedule(n: Node, k: Int): Unit = {
+    private def schedule(n: Node, k: Int): Unit = {
       val next = bound.nextBiasedK(n.cnt, n.sD, k + 1, kMax)
       if (next <= kMax) {
         val i = next - kMin
@@ -109,7 +123,7 @@ private[core] object Incremental {
     /** Algorithm 1 at k below the never-expanded `parents`: schedules the
       * nodes it opens and returns its findings.
       */
-    def search(parents: Iterable[Node], k: Int): TopDownSearch.Found = {
+    private def search(parents: Iterable[Node], k: Int): TopDownSearch.Found = {
       val found = tree.search(parents, k, budget)
       found.opened.foreach(schedule(_, k))
       examined += found.examined
@@ -121,7 +135,7 @@ private[core] object Incremental {
       * collects the biased ones that recover into `touched`, and those of
       * them never expanded into `recovered`.
       */
-    def walk(n: Node, row: Array[Int], k: Int): Unit = {
+    private def walk(n: Node, row: Array[Int], k: Int): Unit = {
       val base = tree.offset(n.maxIdx + 1)
       var a = n.maxIdx + 1
       while (a < width) {
@@ -153,7 +167,7 @@ private[core] object Incremental {
       * node is not clean yet; the node's clean flip queues them level by
       * level.
       */
-    def settle(): Unit = {
+    private def settle(): Unit = {
       val levels = Array.fill(width + 1)(mutable.ArrayBuffer.empty[Node])
       touched.foreach(n => levels(n.attrs.length) += n)
       for (l <- 1 to width; n <- levels(l)) {
@@ -171,35 +185,42 @@ private[core] object Incremental {
       }
     }
 
-    var k = kMin
-    while (k <= kMax && !timedOut) {
-      touched.clear()
-      recovered.clear()
-      if (budget.expired) timedOut = true
-      else if (k == kMin || bound.fallsAt(k)) {
-        tree = new TopDownSearch.Tree(counter, bound, tauS)
-        due = new Array(kMax - kMin + 1)
-        val found = search(Seq(tree.root), k)
-        found.mostGeneral.foreach(_.inRes = true)
-        mostGeneral = found.mostGeneral.iterator.map(_.p).toSet
-      } else {
-        walk(tree.root, counter.rankedRow(k), k)
-        search(recovered, k)
-        val bucket = due(k - kMin)
-        due(k - kMin) = null
-        if (bucket ne null) for (n <- bucket) {
-          if (bound.biased(n.cnt, n.sD, k)) {
-            n.biased = true
-            touched += n
-          } else schedule(n, k)
+    def result(): DetectionResult = {
+      var k = kMin
+      while (k <= kMax && !timedOut) {
+        touched.clear()
+        recovered.clear()
+        if (budget.expired) timedOut = true
+        else if (k == kMin || bound.fallsAt(k)) {
+          tree = new TopDownSearch.Tree(counter, bound, tauS)
+          due = new Array(kMax - kMin + 1)
+          val found = search(Seq(tree.root), k)
+          found.mostGeneral.foreach(_.inRes = true)
+          mostGeneral = found.mostGeneral.iterator.map(_.p).toSet
+        } else {
+          walk(tree.root, counter.rankedRow(k), k)
+          search(recovered, k)
+          val bucket = due(k - kMin)
+          due(k - kMin) = null
+          if (bucket ne null) {
+            var i = 0
+            while (i < bucket.length) {
+              val n = bucket(i)
+              if (bound.biased(n.cnt, n.sD, k)) {
+                n.biased = true
+                touched += n
+              } else schedule(n, k)
+              i += 1
+            }
+          }
         }
+        if (!timedOut) {
+          settle()
+          res += k -> mostGeneral
+        }
+        k += 1
       }
-      if (!timedOut) {
-        settle()
-        res += k -> mostGeneral
-      }
-      k += 1
+      DetectionResult(res, examined, timedOut)
     }
-    DetectionResult(res, examined, timedOut)
   }
 }

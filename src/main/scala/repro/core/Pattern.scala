@@ -37,9 +37,6 @@ final case class Pattern(vals: Vector[Int]) {
   /** Indices of the attributes this pattern constrains. */
   def attrs: Seq[Int] = vals.indices.filter(vals(_) != Pattern.Wildcard)
 
-  /** Number of constrained attributes (the pattern's level in the graph). */
-  def level: Int = vals.count(_ != Pattern.Wildcard)
-
   /** Maximal constrained attribute index, or -1 for the empty pattern.
     * This is `idx(Attr(p))` in Definition 4.1.
     */
@@ -47,24 +44,6 @@ final case class Pattern(vals: Vector[Int]) {
     var i = vals.length - 1
     while (i >= 0 && vals(i) == Pattern.Wildcard) i -= 1
     i
-  }
-
-  /** True iff this pattern constrains no attribute (the root). */
-  def isRoot: Boolean = maxIdx < 0
-
-  /** True iff `this` is equal to or more general than `other`:
-    * every constraint of `this` is also a constraint of `other`.
-    * (`this` ⊆ `other` in the paper's pattern-set notation.)
-    */
-  def subsumes(other: Pattern): Boolean = {
-    require(other.width == width, s"width mismatch: $width vs ${other.width}")
-    var i = 0
-    while (i < vals.length) {
-      val v = vals(i)
-      if (v != Pattern.Wildcard && other.vals(i) != v) return false
-      i += 1
-    }
-    true
   }
 
   /** True iff the encoded tuple `row` satisfies this pattern. */
@@ -77,10 +56,6 @@ final case class Pattern(vals: Vector[Int]) {
     }
     true
   }
-
-  /** True iff `this` is strictly more general than `other` (proper subset). */
-  def strictlySubsumes(other: Pattern): Boolean =
-    this != other && subsumes(other)
 
   /** Children in the search tree (Definition 4.1): extend with a single
     * attribute whose index is larger than [[maxIdx]], one child per value
@@ -103,10 +78,6 @@ final case class Pattern(vals: Vector[Int]) {
     }
     ArraySeq.unsafeWrapArray(children)
   }
-
-  /** Parents in the pattern graph: drop one constrained attribute. */
-  def parents: Seq[Pattern] =
-    attrs.map(a => Pattern(vals.updated(a, Pattern.Wildcard)))
 
   /** Human-readable form, e.g. `{School=1, Address=0}`. */
   def render(attrNames: Seq[String], domains: Seq[Seq[String]]): String =

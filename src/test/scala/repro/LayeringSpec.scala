@@ -7,7 +7,9 @@ import org.scalatest.funsuite.AnyFunSuite
 /** `src/main` is the detector library alone. The detectors, the
   * divergence comparator and the result analysis run on the driver-side
   * index only: Spark stays in `repro.data` (and in the test-scope
-  * experiment runners, `repro.exp`).
+  * experiment runners, `repro.exp`). The searches count through
+  * `PatternCounter.countWave` only; the `Map` API `countBatch` stays
+  * inside `PatternCounter.scala`.
   */
 class LayeringSpec extends AnyFunSuite {
 
@@ -38,5 +40,12 @@ class LayeringSpec extends AnyFunSuite {
     val list = Files.list(mainRoot)
     val pkgs = try list.iterator.asScala.map(_.getFileName.toString).toSet finally list.close()
     assert(pkgs == Set("core", "data", "divergence", "shapley"))
+  }
+
+  test("in src/main only PatternCounter.scala names countBatch: the searches count through countWave") {
+    val naming = (sparkFree :+ "data").flatMap(sources).filter { f =>
+      new String(Files.readAllBytes(f), "UTF-8").contains("countBatch")
+    }
+    assert(naming.map(_.getFileName.toString) == Seq("PatternCounter.scala"), naming.mkString(", "))
   }
 }

@@ -2,6 +2,7 @@ package repro.core
 
 import scala.collection.immutable.SortedMap
 import scala.collection.mutable
+import PatternLattice._
 
 /** Brute-force reference implementation of the declarative result
   * specification (test oracle only):

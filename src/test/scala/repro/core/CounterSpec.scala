@@ -50,6 +50,8 @@ class CounterSpec extends SparkSpec {
     }
   }
 
+  // The pattern-batch method these two tests are named for is gone: the
+  // local counter takes a mix of known and unknown s_D as one wave's slots.
   test("local countInto with known and unknown s_D equals naive scans at the word boundaries of n and k") {
     for (n <- KernelBatches.Sizes) {
       val rix = RandomData.index(seed = n + 300, n = n, m = 4)
@@ -57,13 +59,18 @@ class CounterSpec extends SparkSpec {
       val rnd = new scala.util.Random(n + 300)
       val batches = KernelBatches.batches(rix.domainSizes, rnd)
       val ranks = KernelBatches.matchingRanks(rix, batches.head._2)
-      for (k <- KernelBatches.ks(n); (name, batch) <- batches) {
-        val preset = KernelBatches.mixedSizes(batch.size, rnd)
+      for (k <- KernelBatches.ks(n); (name, patterns) <- batches) {
+        val children = KernelBatches.children(rix.domainSizes, patterns)
+        val parents = patterns.map(KernelBatches.parent(ranks, _))
+        val preset = KernelBatches.mixedSizes(children.size, rnd)
         val sD = preset.clone()
-        val topK = new Array[Int](batch.size)
-        counter.countInto(batch, k, sD, topK)
-        val wrong = KernelBatches.wrongSlots(ranks, batch, k, preset, sD, topK)
-        assert(wrong.isEmpty, s"n=$n k=$k batch=$name: ${wrong.take(5).map(batch)}")
+        val topK = new Array[Int](children.size)
+        counter.countWave(parents, k, sD, topK)
+        val wrong = KernelBatches.wrongSlots(ranks, children, k, preset, sD, topK)
+        assert(wrong.isEmpty, s"n=$n k=$k parents=$name: ${wrong.take(5).map(children)}")
+        val (d, t) = (preset.clone(), new Array[Int](children.size))
+        rix.countWave(parents, k, d, t)
+        assert(d.sameElements(sD) && t.sameElements(topK), s"index countWave n=$n k=$k parents=$name")
       }
     }
   }
@@ -74,35 +81,44 @@ class CounterSpec extends SparkSpec {
     val rnd = new scala.util.Random(108)
     val batches = KernelBatches.batches(rix.domainSizes, rnd)
     val ranks = KernelBatches.matchingRanks(rix, batches.head._2)
-    for ((name, batch) <- batches; k <- KernelBatches.ks(rix.size)) {
-      val preset = KernelBatches.mixedSizes(batch.size, rnd)
+    for ((name, patterns) <- batches; k <- KernelBatches.ks(rix.size)) {
+      val children = KernelBatches.children(rix.domainSizes, patterns)
+      val preset = KernelBatches.mixedSizes(children.size, rnd)
       assert(preset.count(_ < 0) * KernelBatches.words(rix) >= DatasetIndex.ParallelWork, name)
       val sD = preset.clone()
-      val topK = new Array[Int](batch.size)
-      counter.countInto(batch, k, sD, topK)
-      val wrong = KernelBatches.wrongSlots(ranks, batch, k, preset, sD, topK)
-      assert(wrong.isEmpty, s"k=$k batch=$name: ${wrong.take(5).map(batch)}")
+      val topK = new Array[Int](children.size)
+      counter.countWave(patterns.map(KernelBatches.parent(ranks, _)), k, sD, topK)
+      val wrong = KernelBatches.wrongSlots(ranks, children, k, preset, sD, topK)
+      assert(wrong.isEmpty, s"k=$k parents=$name: ${wrong.take(5).map(children)}")
     }
   }
 
-  test("the default countInto is one countBatch call with every pattern, and keeps known s_D") {
-    val rix = RandomData.index(seed = 301, n = 129, m = 4)
-    val rnd = new scala.util.Random(301)
-    val batches = KernelBatches.batches(rix.domainSizes, rnd)
-    val ranks = KernelBatches.matchingRanks(rix, batches.head._2)
-    for (k <- KernelBatches.ks(rix.size); (name, batch) <- batches) {
-      val log = new BatchLogCounter(new LocalPatternCounter(rix)) // overrides countBatch only
-      val preset = KernelBatches.mixedSizes(batch.size, rnd)
-      val sD = preset.clone()
-      val topK = new Array[Int](batch.size)
-      log.countInto(batch, k, sD, topK)
-      assert(log.sizes == Seq(batch.size), s"k=$k batch=$name")
-      val wrong = KernelBatches.wrongSlots(ranks, batch, k, preset, sD, topK)
-      assert(wrong.isEmpty, s"k=$k batch=$name: ${wrong.take(5).map(batch)}")
+  test("local countBatch over a wave's child patterns equals countWave with every s_D unknown, in 1 chunk and many") {
+    val indexes = Seq(RandomData.index(seed = 303, n = 129, m = 4) -> 303, KernelBatches.largeIndex(seed = 109) -> 109)
+    for (((rix, seed), parallel) <- indexes.zip(Seq(false, true))) {
+      val counter = new LocalPatternCounter(rix)
+      for ((name, patterns) <- KernelBatches.batches(rix.domainSizes, new scala.util.Random(seed))) {
+        val children = KernelBatches.children(rix.domainSizes, patterns)
+        val parents = patterns.map { q =>
+          val as = q.attrs.toArray
+          KernelBatches.WaveParent(as, as.map(q.vals), PatternCounter.Unknown)
+        }
+        if (parallel) assert(children.size * KernelBatches.words(rix) >= DatasetIndex.ParallelWork, name)
+        for (k <- KernelBatches.waveKs(rix.size)) {
+          val got = counter.countBatch(children, k)
+          for (chunks <- Seq(1, 7, parents.size)) {
+            val sD = Array.fill(children.size)(PatternCounter.Unknown)
+            val topK = new Array[Int](children.size)
+            rix.countWave(parents, k, sD, topK, chunks)
+            val wrong = children.indices.filter(i => got(children(i)) != ((sD(i).toLong, topK(i).toLong)))
+            assert(wrong.isEmpty, s"n=${rix.size} k=$k parents=$name chunks=$chunks: ${wrong.take(5).map(children)}")
+          }
+        }
+      }
     }
   }
 
-  test("the default countWave is one countInto call with the wave's child patterns in slot order, and keeps known s_D") {
+  test("the default countWave is one countBatch call with the wave's child patterns in slot order, and keeps known s_D") {
     val rix = RandomData.index(seed = 302, n = 129, m = 4)
     val rnd = new scala.util.Random(302)
     val batches = KernelBatches.batches(rix.domainSizes, rnd)
@@ -112,29 +128,24 @@ class CounterSpec extends SparkSpec {
       val children = KernelBatches.children(rix.domainSizes, parents)
       val wave = parents.map(KernelBatches.parent(ranks, _))
       val preset = KernelBatches.mixedSizes(children.size, rnd)
-      // overrides countInto only: records each call's patterns and s_D on entry
-      val calls = scala.collection.mutable.ArrayBuffer.empty[(Vector[Pattern], Vector[Int])]
-      val into = new PatternCounter {
+      // overrides countBatch only: records each call's patterns
+      val calls = scala.collection.mutable.ArrayBuffer.empty[Vector[Pattern]]
+      val batch = new PatternCounter {
         override def width: Int = local.width
         override def domainSizes: IndexedSeq[Int] = local.domainSizes
         override def datasetSize: Long = local.datasetSize
-        override def countBatch(patterns: Seq[Pattern], k: Int): Map[Pattern, (Long, Long)] = local.countBatch(patterns, k)
-        override def countInto(patterns: IndexedSeq[Pattern], k: Int, sD: Array[Int], topK: Array[Int]): Unit = {
-          calls += ((patterns.toVector, sD.toVector))
-          local.countInto(patterns, k, sD, topK)
+        override def countBatch(patterns: Seq[Pattern], k: Int): Map[Pattern, (Long, Long)] = {
+          calls += patterns.toVector
+          local.countBatch(patterns, k)
         }
         override def rankedRow(rank: Int): Array[Int] = local.rankedRow(rank)
       }
-      val batchLog = new BatchLogCounter(local) // overrides countBatch only
-      for (counter <- Seq(into, batchLog)) {
-        val sD = preset.clone()
-        val topK = new Array[Int](children.size)
-        counter.countWave(wave, k, sD, topK)
-        val wrong = KernelBatches.wrongSlots(ranks, children, k, preset, sD, topK)
-        assert(wrong.isEmpty, s"k=$k parents=$name: ${wrong.take(5).map(children)}")
-      }
-      assert(calls == Seq(children -> preset.toVector), s"k=$k parents=$name")
-      assert(batchLog.sizes == Seq(children.size), s"k=$k parents=$name")
+      val sD = preset.clone()
+      val topK = new Array[Int](children.size)
+      batch.countWave(wave, k, sD, topK)
+      val wrong = KernelBatches.wrongSlots(ranks, children, k, preset, sD, topK)
+      assert(wrong.isEmpty, s"k=$k parents=$name: ${wrong.take(5).map(children)}")
+      assert(calls == Seq(children), s"k=$k parents=$name")
     }
   }
 

@@ -90,35 +90,41 @@ class DatasetIndexSpec extends AnyFunSuite {
     }
   }
 
+  // A pattern batch reaches the index through LocalPatternCounter.countBatch:
+  // one countWave call over the batch's search-tree parents, s_D unknown.
   test("countBatch equals naive scans at the word boundaries of n and k") {
     for (n <- KernelBatches.Sizes) {
       val rix = RandomData.index(seed = n, n = n, m = 4)
+      val counter = new LocalPatternCounter(rix)
       val rnd = new scala.util.Random(n)
       for (k <- KernelBatches.ks(n); (name, batch) <- KernelBatches.batches(rix.domainSizes, rnd)) {
-        val sD = new Array[Int](batch.size)
-        val topK = new Array[Int](batch.size)
-        rix.countBatch(batch, k, sD, topK)
-        for ((pat, i) <- batch.zipWithIndex) {
-          assert(sD(i) == rix.rows.count(pat.matches), s"s_D($pat) n=$n k=$k batch=$name")
-          assert(topK(i) == rix.rows.take(k).count(pat.matches), s"top-k($pat) n=$n k=$k batch=$name")
+        val got = counter.countBatch(batch, k)
+        for (pat <- batch) {
+          val (d, t) = got(pat)
+          assert(d == rix.rows.count(pat.matches), s"s_D($pat) n=$n k=$k batch=$name")
+          assert(t == rix.rows.take(k).count(pat.matches), s"top-k($pat) n=$n k=$k batch=$name")
         }
       }
     }
   }
 
+  // The pattern-batch method this test is named for is gone: a mix of
+  // known and unknown s_D now reaches the index as one wave's slots.
   test("countInto with known and unknown s_D equals naive scans at the word boundaries of n and k") {
     for (n <- KernelBatches.Sizes) {
       val rix = RandomData.index(seed = n + 200, n = n, m = 4)
       val rnd = new scala.util.Random(n + 200)
       val batches = KernelBatches.batches(rix.domainSizes, rnd)
       val ranks = KernelBatches.matchingRanks(rix, batches.head._2)
-      for (k <- KernelBatches.ks(n); (name, batch) <- batches) {
-        val preset = KernelBatches.mixedSizes(batch.size, rnd)
-        val sD = preset.clone()
-        val topK = new Array[Int](batch.size)
-        rix.countInto(batch, k, sD, topK)
-        val wrong = KernelBatches.wrongSlots(ranks, batch, k, preset, sD, topK)
-        assert(wrong.isEmpty, s"n=$n k=$k batch=$name: ${wrong.take(5).map(batch)}")
+      for (k <- KernelBatches.ks(n); (name, patterns) <- batches) {
+        val children = KernelBatches.children(rix.domainSizes, patterns)
+        val parents = patterns.map(KernelBatches.parent(ranks, _))
+        val preset = KernelBatches.mixedSizes(children.size, rnd)
+        for (chunks <- Seq(0, 1, 7, parents.size)) {
+          val (sD, topK) = wave(rix, parents, k, preset, chunks)
+          val wrong = KernelBatches.wrongSlots(ranks, children, k, preset, sD, topK)
+          assert(wrong.isEmpty, s"n=$n k=$k parents=$name chunks=$chunks: ${wrong.take(5).map(children)}")
+        }
       }
     }
   }
@@ -126,18 +132,17 @@ class DatasetIndexSpec extends AnyFunSuite {
   private lazy val large = KernelBatches.largeIndex(seed = 7)
 
   test("countInto with known and unknown s_D above the parallel threshold equals naive scans") {
+    // As above: the unknown slots of the mix alone reach the threshold.
     val rnd = new scala.util.Random(9)
     val batches = KernelBatches.batches(large.domainSizes, rnd)
     val ranks = KernelBatches.matchingRanks(large, batches.head._2)
-    for ((name, batch) <- batches; k <- KernelBatches.ks(large.size)) {
-      val preset = KernelBatches.mixedSizes(batch.size, rnd)
-      val unknown = preset.count(_ < 0)
-      assert(unknown * KernelBatches.words(large) >= DatasetIndex.ParallelWork, name)
-      val sD = preset.clone()
-      val topK = new Array[Int](batch.size)
-      large.countInto(batch, k, sD, topK)
-      val wrong = KernelBatches.wrongSlots(ranks, batch, k, preset, sD, topK)
-      assert(wrong.isEmpty, s"k=$k batch=$name: ${wrong.take(5).map(batch)}")
+    for ((name, patterns) <- batches; k <- KernelBatches.ks(large.size)) {
+      val children = KernelBatches.children(large.domainSizes, patterns)
+      val preset = KernelBatches.mixedSizes(children.size, rnd)
+      assert(preset.count(_ < 0) * KernelBatches.words(large) >= DatasetIndex.ParallelWork, name)
+      val (sD, topK) = wave(large, patterns.map(KernelBatches.parent(ranks, _)), k, preset)
+      val wrong = KernelBatches.wrongSlots(ranks, children, k, preset, sD, topK)
+      assert(wrong.isEmpty, s"k=$k parents=$name: ${wrong.take(5).map(children)}")
     }
   }
 
@@ -158,14 +163,16 @@ class DatasetIndexSpec extends AnyFunSuite {
   test("countBatch above the parallel threshold equals naive scans") {
     val batches = KernelBatches.batches(large.domainSizes, new scala.util.Random(7))
     val ranks = KernelBatches.matchingRanks(large, batches.head._2)
+    val counter = new LocalPatternCounter(large)
     for ((name, batch) <- batches) {
       assert(batch.size * KernelBatches.words(large) >= DatasetIndex.ParallelWork, name)
       for (k <- KernelBatches.ks(large.size)) {
-        val sD = new Array[Int](batch.size)
-        val topK = new Array[Int](batch.size)
-        large.countBatch(batch, k, sD, topK)
-        val wrong = batch.indices.filter(i => (sD(i), topK(i)) != KernelBatches.naive(ranks, batch(i), k))
-        assert(wrong.isEmpty, s"k=$k batch=$name: ${wrong.take(5).map(batch)}")
+        val got = counter.countBatch(batch, k)
+        val wrong = batch.filter { pat =>
+          val (d, t) = KernelBatches.naive(ranks, pat, k)
+          got(pat) != ((d.toLong, t.toLong))
+        }
+        assert(wrong.isEmpty, s"k=$k batch=$name: ${wrong.take(5)}")
       }
     }
   }
@@ -189,9 +196,7 @@ class DatasetIndexSpec extends AnyFunSuite {
       bad <- Seq(Pattern.of(ix.width - 1, 0 -> 0), Pattern.of(ix.width + 1, ix.width -> 0))
     } {
       val ps = batch.patch(batch.size / 2, Seq(bad), 0)
-      val e = intercept[IllegalArgumentException] {
-        ix.countBatch(ps, 5, new Array[Int](ps.size), new Array[Int](ps.size))
-      }
+      val e = intercept[IllegalArgumentException](new LocalPatternCounter(ix).countBatch(ps, 5))
       assert(e.getMessage.contains(s"width ${bad.width}"))
     }
   }
@@ -312,7 +317,8 @@ class DatasetIndexSpec extends AnyFunSuite {
 
   test("countWave takes a last sibling's s_D by subtraction only when all its siblings are unknown") {
     // Each parent's s_D is passed in one too high: a slot counted by
-    // subtraction reads one too high, every other slot is exact.
+    // subtraction reads one too high, every other slot is exact. With
+    // the parents' s_D unknown, no slot is counted by subtraction.
     val rix = RandomData.index(seed = 12, n = 129, m = 4)
     val parents = KernelBatches.batches(rix.domainSizes, new scala.util.Random(12)).head._2
     val children = KernelBatches.children(rix.domainSizes, parents)
@@ -349,10 +355,15 @@ class DatasetIndexSpec extends AnyFunSuite {
         val expected = if (preset(i) >= 0) preset(i) else if (subtracted(i)) d + 1 else d
         assert(sD(i) == expected && topK(i) == t, s"k=$k slot $i ${children(i)}: ${(sD(i), topK(i))}")
       }
+      val (d, t) = wave(rix, high.map(_.copy(sD = PatternCounter.Unknown)), k, preset)
+      val wrong = KernelBatches.wrongSlots(ranks, children, k, preset, d, t)
+      assert(wrong.isEmpty, s"k=$k, parents' s_D unknown: ${wrong.take(5).map(children)}")
     }
   }
 
   test("countWave over a schema with a domain-size-1 attribute, and parents with no slots") {
+    // A domain-size-1 attribute's one value is its own last sibling: with
+    // the parent's s_D unknown, it must be counted, not subtracted.
     val rnd = new scala.util.Random(13)
     val cards = IndexedSeq(3, 1, 2, 3)
     val rows = Array.fill(130)(Array.tabulate(4)(a => rnd.nextInt(cards(a))))
@@ -365,13 +376,21 @@ class DatasetIndexSpec extends AnyFunSuite {
     assert(last.nonEmpty && KernelBatches.children(rix.domainSizes, last).isEmpty)
     val (d0, t0) = wave(rix, last.map(KernelBatches.parent(ranks, _)), 5, Array.empty)
     assert(d0.isEmpty && t0.isEmpty)
+    val local = new LocalPatternCounter(rix)
     for ((name, patterns) <- batches; k <- KernelBatches.waveKs(rix.size)) {
       val children = KernelBatches.children(rix.domainSizes, patterns)
-      for (preset <- presets(children.size, rnd)) {
-        val (sD, topK) = wave(rix, patterns.map(KernelBatches.parent(ranks, _)), k, preset)
+      val parents = patterns.map(KernelBatches.parent(ranks, _))
+      for (preset <- presets(children.size, rnd); ps <- Seq(parents, parents.map(_.copy(sD = PatternCounter.Unknown)))) {
+        val (sD, topK) = wave(rix, ps, k, preset)
         val wrong = KernelBatches.wrongSlots(ranks, children, k, preset, sD, topK)
         assert(wrong.isEmpty, s"k=$k parents=$name: ${wrong.take(5).map(children)}")
       }
+      val got = local.countBatch(children, k)
+      val wrong = children.filter { c =>
+        val (d, t) = KernelBatches.naive(ranks, c, k)
+        got(c) != ((d.toLong, t.toLong))
+      }
+      assert(wrong.isEmpty, s"countBatch k=$k parents=$name: ${wrong.take(5)}")
     }
   }
 

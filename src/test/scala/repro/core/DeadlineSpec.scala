@@ -3,7 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 
 /** How much work a run does once its budget expires: none that counts.
-  * The budget is made to expire inside a chosen `countInto` call, every
+  * The budget is made to expire inside a chosen `countWave` call, every
   * call of an unbudgeted run in turn, on Figure 1 with k ∈ [4,16].
   */
 class DeadlineSpec extends AnyFunSuite {
@@ -40,5 +40,18 @@ class DeadlineSpec extends AnyFunSuite {
         } else assert(r == unbudgeted, s"$name, call $n")
       }
     }
+  }
+
+  test("a budget of up to Long.MaxValue ms saturates: it never reads expired, and a run under it is the unbudgeted run") {
+    // now + millis × 10⁶ would wrap into the past from Long.MaxValue / 10⁶ ms on
+    for (ms <- Seq(Long.MaxValue, Long.MaxValue / 1000000L + 1, Long.MaxValue / 1000000L)) {
+      val budget = Budget.ofMillis(ms)
+      assert(!budget.expired, s"$ms ms")
+      for ((name, run) <- detectors) {
+        val r = run(new LocalPatternCounter(ix), budget)
+        assert(!r.timedOut && r == run(new LocalPatternCounter(ix), Budget.unlimited), s"$name, $ms ms")
+      }
+    }
+    for (ms <- Seq(-1L, Long.MinValue)) assert(Budget.ofMillis(ms).expired, s"$ms ms")
   }
 }

@@ -3,6 +3,37 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import scala.util.Random
 
+import PatternLattice._
+
+/** The pattern graph's order relations and levels, which only the tests
+  * and the oracles ask a [[Pattern]] for: `import PatternLattice._`.
+  */
+object PatternLattice {
+  implicit final class LatticeOps(private val p: Pattern) extends AnyVal {
+
+    /** Number of constrained attributes (the pattern's level in the graph). */
+    def level: Int = p.vals.count(_ != Pattern.Wildcard)
+
+    /** True iff this pattern constrains no attribute (the root). */
+    def isRoot: Boolean = p.maxIdx < 0
+
+    /** True iff `p` is equal to or more general than `other`: every
+      * constraint of `p` is also a constraint of `other`. (`p` ⊆ `other`
+      * in the paper's pattern-set notation.)
+      */
+    def subsumes(other: Pattern): Boolean = {
+      require(other.width == p.width, s"width mismatch: ${p.width} vs ${other.width}")
+      p.vals.indices.forall(i => p.vals(i) == Pattern.Wildcard || other.vals(i) == p.vals(i))
+    }
+
+    /** True iff `p` is strictly more general than `other` (proper subset). */
+    def strictlySubsumes(other: Pattern): Boolean = p != other && subsumes(other)
+
+    /** Parents in the pattern graph: drop one constrained attribute. */
+    def parents: Seq[Pattern] = p.attrs.map(a => Pattern(p.vals.updated(a, Pattern.Wildcard)))
+  }
+}
+
 /** The paper's running example (Figure 1): 16 students with attributes
   * Gender, School, Address, Failures, ranked by grade (desc) with
   * failures (asc) as tie-break. The `Rank` column of Figure 1 is
@@ -186,7 +217,7 @@ object KernelBatches {
     (r.length, r.count(_ < k))
   }
 
-  /** `sD` input for [[PatternCounter.countInto]] with a random mix of
+  /** `sD` input for [[PatternCounter.countWave]] with a random mix of
     * known and unknown slots, both present. A known slot holds a distinct
     * value no s_D can take, so a kernel that writes or mixes up a known
     * slot is caught.
@@ -215,7 +246,7 @@ object KernelBatches {
   def waveKs(n: Int): Seq[Int] = (Seq(0, 1, 63, 64, 65, 127, 128, 129) :+ n).distinct
 
   /** Slots of a [[mixedSizes]] `preset` whose results from
-    * [[PatternCounter.countInto]] are wrong: a known s_D not left as it
+    * [[PatternCounter.countWave]] are wrong: a known s_D not left as it
     * was, an unknown one not equal to the naive count, or a top-k count
     * not equal to the naive one.
     */
@@ -232,16 +263,14 @@ object KernelBatches {
   }
 }
 
-/** Both counts of single patterns, through the index's pattern path. */
+/** Both counts of single patterns, through [[LocalPatternCounter.countBatch]]. */
 object IndexCounts {
   implicit final class PatternSizes(private val ix: DatasetIndex) extends AnyVal {
 
     /** `(s_D(p), s_{R^k(D)}(p))`. */
     def sizes(p: Pattern, k: Int): (Int, Int) = {
-      val d = new Array[Int](1)
-      val t = new Array[Int](1)
-      ix.countBatch(Vector(p), k, d, t)
-      (d(0), t(0))
+      val (d, t) = new LocalPatternCounter(ix).countBatch(Vector(p), k)(p)
+      (d.toInt, t.toInt)
     }
 
     /** s_D(p): number of tuples in D satisfying `p`. */
@@ -265,9 +294,9 @@ final class BatchLogCounter(inner: PatternCounter) extends PatternCounter {
   override def rankedRow(rank: Int): Array[Int] = inner.rankedRow(rank)
 }
 
-/** Delegating counter that records, for every [[countInto]] call, the
-  * patterns whose s_D the caller did not know (the ones whose s_D the
-  * call counts) and those whose s_D it passed in.
+/** Delegating counter that records, for every [[countWave]] call, the
+  * slots' patterns whose s_D the caller did not know (the ones whose s_D
+  * the call counts) and those whose s_D it passed in, in slot order.
   */
 final class SizeLogCounter(inner: PatternCounter) extends PatternCounter {
   val unknown = scala.collection.mutable.ArrayBuffer.empty[Vector[Pattern]]
@@ -277,11 +306,14 @@ final class SizeLogCounter(inner: PatternCounter) extends PatternCounter {
   override def datasetSize: Long = inner.datasetSize
   override def countBatch(patterns: Seq[Pattern], k: Int): Map[Pattern, (Long, Long)] =
     inner.countBatch(patterns, k)
-  override def countInto(patterns: IndexedSeq[Pattern], k: Int, sD: Array[Int], topK: Array[Int]): Unit = {
+  override def countWave(parents: IndexedSeq[PatternCounter.Parent], k: Int, sD: Array[Int], topK: Array[Int]): Unit = {
+    val patterns = parents.flatMap { q =>
+      Pattern.of(width, q.attrs.indices.map(i => q.attrs(i) -> q.vals(i)): _*).searchTreeChildren(domainSizes)
+    }
     val (u, kn) = patterns.indices.partition(sD(_) < 0)
     unknown += u.map(patterns).toVector
     known += kn.map(patterns).toVector
-    inner.countInto(patterns, k, sD, topK)
+    inner.countWave(parents, k, sD, topK)
   }
   override def rankedRow(rank: Int): Array[Int] = inner.rankedRow(rank)
 
@@ -329,14 +361,14 @@ final class SlowRowCounter(inner: PatternCounter, slowRank: Int, sleepMillis: Lo
   }
 }
 
-/** Counter whose `expireAt`-th [[countInto]] call spins until `budget`
+/** Counter whose `expireAt`-th [[countWave]] call spins until `budget`
   * reads expired, then counts through a [[LocalPatternCounter]]: a run
   * given the same budget sees it expire inside that call. It serves the
-  * searches' [[countInto]] path only; the `Map` API throws.
+  * searches' [[countWave]] path only; the `Map` API throws.
   */
 final class ExpiringCounter(ix: DatasetIndex, expireAt: Int, budget: Budget) extends PatternCounter {
   private val inner = new LocalPatternCounter(ix)
-  /** `countInto` calls so far. */
+  /** `countWave` calls so far. */
   var calls = 0
   /** Whether the budget had already expired when the `expireAt`-th call began. */
   var expiredBefore = false
@@ -344,14 +376,14 @@ final class ExpiringCounter(ix: DatasetIndex, expireAt: Int, budget: Budget) ext
   override def domainSizes: IndexedSeq[Int] = inner.domainSizes
   override def datasetSize: Long = inner.datasetSize
   override def countBatch(patterns: Seq[Pattern], k: Int): Map[Pattern, (Long, Long)] =
-    throw new UnsupportedOperationException("the searches count through countInto")
-  override def countInto(patterns: IndexedSeq[Pattern], k: Int, sD: Array[Int], topK: Array[Int]): Unit = {
+    throw new UnsupportedOperationException("the searches count through countWave")
+  override def countWave(parents: IndexedSeq[PatternCounter.Parent], k: Int, sD: Array[Int], topK: Array[Int]): Unit = {
     calls += 1
     if (calls == expireAt) {
       expiredBefore = budget.expired
       while (!budget.expired) Thread.onSpinWait()
     }
-    inner.countInto(patterns, k, sD, topK)
+    inner.countWave(parents, k, sD, topK)
   }
   override def rankedRow(rank: Int): Array[Int] = inner.rankedRow(rank)
 }

@@ -3,6 +3,7 @@ package repro.core
 import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
+import PatternLattice._
 
 class IterTDSpec extends AnyFunSuite {
   import IndexCounts._

@@ -1,6 +1,7 @@
 package repro.core
 
 import scala.collection.mutable
+import PatternLattice._
 
 /** Test oracle: a changing set of patterns `B` together with its most
   * general members, the split of the paper's biased set into `Res`

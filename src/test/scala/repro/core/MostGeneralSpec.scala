@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
+import PatternLattice._
 
 class MostGeneralSpec extends AnyFunSuite {
 

@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
+import PatternLattice._
 
 class PatternSpec extends AnyFunSuite {
   import MostGeneralFixture.splitMostGeneral

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import PatternLattice._
 
 class TopDownSearchSpec extends AnyFunSuite {
   import RunningExample.p

@@ -4,6 +4,7 @@ import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core.{BruteForce, LocalPatternCounter, RunningExample}
 import repro.core.IndexCounts._
+import repro.core.PatternLattice._
 
 class DivergenceSpec extends SparkSpec {
   import RunningExample.p
