@@ -11,8 +11,9 @@ package repro.core
   *
   * A search-tree child (Definition 4.1) is its parent plus one
   * attribute-value. [[countWave]], the index's one counting method, counts
-  * a wave of children from the parents' constraints, each child with one
-  * AND + popcount pass over its parent's AND. s_D does not depend on k: a
+  * a wave of children from the parents' constraints, only the slots each
+  * parent lists, each child with one AND + popcount pass over its
+  * parent's AND. s_D does not depend on k: a
   * child whose s_D the caller already knows costs only the first ⌈k/64⌉
   * words, and so does its parent's AND, taken from the leaf words; the
   * ANDs of parents with unknown children are kept on a prefix stack. The
@@ -78,46 +79,62 @@ final class DatasetIndex(
   /** `offset(a)`: number of (attribute, value) pairs on attributes below `a`. */
   private val offset: Array[Int] = domainSizes.scanLeft(0)(_ + _).toArray
 
+  /** `leaves(offset(a) + v)`: `words(a)(v)`, one (attribute, value) pair
+    * after the other, so that a parent's slot `s` is `leaves(offset(maxIdx + 1) + s)`.
+    */
+  private val leaves: Array[Array[Long]] = words.flatten
+
+  /** `group(g)`: the domain size of pair `g`'s attribute if `g` is its
+    * first value, else 0.
+    */
+  private val group: Array[Int] = {
+    val gs = new Array[Int](offset(width))
+    for (a <- 0 until width if domainSizes(a) > 0) gs(offset(a)) = domainSizes(a)
+    gs
+  }
+
   /** The AND of no constraint: every word all ones. Bits past |D| are
     * set too, but every leaf has them clear.
     */
   private val ones: Array[Long] = Array.fill(nWords)(-1L)
 
-  /** The wave kernel, [[PatternCounter.countWave]]: counts the children
-    * of `parents`, slot by slot in [[Pattern.searchTreeChildren]]'s order,
-    * into `sD` / `topK`: `topK(i)` receives slot `i`'s s_{R^k(D)}, and
-    * `sD(i)` its s_D if `sD(i)` is negative on entry
-    * ([[PatternCounter.Unknown]]); a known s_D is kept. No [[Pattern]] is
-    * read or built.
+  /** The wave kernel, [[PatternCounter.countWave]]: counts the listed
+    * children of `parents` ([[PatternCounter.Parent.slots]]), parent by
+    * parent, into `sD` / `topK`: `topK(i)` receives the wave's `i`-th
+    * listed slot's s_{R^k(D)}, and `sD(i)` its s_D if `sD(i)` is negative
+    * on entry ([[PatternCounter.Unknown]]); a known s_D is kept. A slot
+    * that is not listed costs nothing. No [[Pattern]] is read or built.
     *
     * The wave is cut into chunks of whole parents, as many as
-    * [[DatasetIndex.chunks]] gives for its slots (at most one per parent),
-    * at the parents nearest to equal shares of the slots; more than one
-    * chunk is counted on the common ForkJoin pool. A parent whose slots
-    * all have a known s_D needs only top-k counts: its AND over the first
-    * ⌈k/64⌉ words is taken from its constraints' leaf words directly, and
-    * each slot costs one AND + popcount over those words. A wave whose
-    * slots are all known (a search reaching nodes counted at an earlier
-    * k) is counted so without looking at a slot's s_D. A parent with an
-    * unknown slot is loaded into the chunk's prefix stack, one buffer per
-    * constraint level: level `l` holds the AND of the parent's first `l`
-    * constraints over all ⌈n/64⌉ words. The stack is refreshed from the
-    * first level at which the parent differs from the last one it held,
-    * and a wave lists siblings' children next to each other, so a parent
-    * costs about one pass. Each slot then costs one AND + popcount.
+    * [[DatasetIndex.chunks]] gives for its listed slots (at most one per
+    * parent), at the parents nearest to equal shares of those slots; more
+    * than one chunk is counted on the common ForkJoin pool. A parent
+    * whose listed slots all have a known s_D needs only top-k counts: its
+    * AND over the first ⌈k/64⌉ words is taken from its constraints' leaf
+    * words directly. A wave whose slots are all known (a search reaching
+    * nodes counted at an earlier k) is counted so without looking at a
+    * slot's s_D. A parent with an unknown slot is loaded into the chunk's
+    * prefix stack, one buffer per constraint level: level `l` holds the
+    * AND of the parent's first `l` constraints over all ⌈n/64⌉ words. The
+    * stack is refreshed from the first level at which the parent differs
+    * from the last one it held, and a wave lists siblings' children next
+    * to each other, so a parent costs about one pass. Either way one loop
+    * over the parent's listed slots then costs each one AND + popcount
+    * over the words it needs.
     *
     * Every row holds exactly one value per attribute (the constructor
     * checks), so a parent's s_D is the sum of its children's on one
     * attribute. When the parent's s_D ([[PatternCounter.Parent.sD]]) is
-    * known and every slot of one (parent, attribute) has an unknown s_D,
-    * the last value's s_D is the parent's minus its siblings' sum, and
-    * only its top-k is counted. A chunk writes only its own slots, and a count
-    * depends only on its parent, its slot and `k`, so the results do not
-    * depend on the chunking or on thread timing.
+    * known and its list holds every value of one attribute, all with an
+    * unknown s_D, the last value's s_D is the parent's minus its
+    * siblings' sum, and only its top-k is counted. A chunk writes only its
+    * own slots, and a count depends only on its parent, its slot and `k`,
+    * so the results do not depend on the chunking or on thread timing.
     *
-    * @throws IllegalArgumentException if `k < 0`, or a parent's
-    *         attributes are not strictly ascending in `[0, width)` or a
-    *         value lies outside its attribute's domain
+    * @throws IllegalArgumentException if `k < 0`, a parent's attributes
+    *         are not strictly ascending in `[0, width)`, a value lies
+    *         outside its attribute's domain, or a parent's slot list is
+    *         not strictly ascending within its search-tree children
     */
   def countWave(parents: IndexedSeq[PatternCounter.Parent], k: Int, sD: Array[Int], topK: Array[Int]): Unit =
     countWave(parents, k, sD, topK, chunks = 0)
@@ -169,7 +186,9 @@ final class DatasetIndex(
   }
 
   /** `starts(p)`: the wave's first slot of `parents(p)`; `starts(parents.length)`
-    * is the wave's size. Rejects a parent that is not a pattern of this schema.
+    * is the wave's size. Rejects a parent that is not a pattern of this
+    * schema, and a slot list that is not strictly ascending within the
+    * parent's search-tree children.
     */
   private def slotStarts(parents: IndexedSeq[PatternCounter.Parent]): Array[Int] = {
     val starts = new Array[Int](parents.length + 1)
@@ -189,7 +208,19 @@ final class DatasetIndex(
         last = a
         i += 1
       }
-      starts(p + 1) = starts(p) + offset(width) - offset(last + 1)
+      val all = offset(width) - offset(last + 1)
+      val ss = parents(p).slots
+      var prev = -1
+      i = 0
+      while (i < ss.length) {
+        if (ss(i) < 0 || ss(i) >= all) throw new IllegalArgumentException(
+          s"parent $p: listed slot ${i + 1} (${ss(i)}) is outside [0, $all)")
+        if (ss(i) <= prev) throw new IllegalArgumentException(
+          s"parent $p: listed slot ${i + 1} (${ss(i)}) is not above the one before it ($prev)")
+        prev = ss(i)
+        i += 1
+      }
+      starts(p + 1) = starts(p) + ss.length
       p += 1
     }
     starts
@@ -281,23 +312,18 @@ final class DatasetIndex(
       t
     }
 
-    /** Counts slot `i`, the child of `par` with the bitset `leaf`: its
-      * top-k, and its s_D if unknown.
-      */
-    private def slot(par: Array[Long], leaf: Array[Long], i: Int, sD: Array[Int], topK: Array[Int]): Unit = {
-      if (sD(i) < 0) {
-        var d = 0
-        var j = 0
-        while (j < nWords) {
-          d += java.lang.Long.bitCount(par(j) & leaf(j))
-          j += 1
-        }
-        sD(i) = d
+    /** Popcount of `par & leaf` over all ⌈n/64⌉ words. */
+    private def size(par: Array[Long], leaf: Array[Long]): Int = {
+      var d = 0
+      var j = 0
+      while (j < nWords) {
+        d += java.lang.Long.bitCount(par(j) & leaf(j))
+        j += 1
       }
-      topK(i) = top(par, leaf)
+      d
     }
 
-    /** Counts the slots of `parents(from until to)`, the first at
+    /** Counts the listed slots of `parents(from until to)`, the first at
       * `starts(from)`; with `allKnown`, every slot's s_D is known.
       */
     def wave(
@@ -320,68 +346,56 @@ final class DatasetIndex(
             while (j < end && sD(j) >= 0) j += 1
             known = j == end
           }
-          if (known) topOnly(parents(p), start, topK)
-          else counted(parents(p), start, sD, topK)
+          val q = parents(p)
+          val n = q.attrs.length
+          if (known) listed(q, loadHead(q.attrs, q.vals, n), start, sD, topK, subtract = false)
+          else listed(q, full.load(q.attrs, q.vals, n), start, sD, topK, subtract = q.sD >= 0)
         }
         p += 1
       }
     }
 
-    /** Counts the top-k of `q`'s slots, the first at `first`, from its AND
-      * over the first ⌈k/64⌉ words.
+    /** The one slot loop: counts `q`'s listed slots, the first at wave
+      * position `first`, from `par`, its AND over the first ⌈k/64⌉ words
+      * if all of them have a known s_D, else over all ⌈n/64⌉. With
+      * `subtract` (`q`'s s_D is known), the last value of an attribute
+      * whose values the list holds all, each with an unknown s_D, gets
+      * its s_D by subtraction.
       */
-    private def topOnly(q: PatternCounter.Parent, first: Int, topK: Array[Int]): Unit = {
+    private def listed(
+        q: PatternCounter.Parent,
+        par: Array[Long],
+        first: Int,
+        sD: Array[Int],
+        topK: Array[Int],
+        subtract: Boolean,
+    ): Unit = {
+      val ss = q.slots
       val as = q.attrs
-      val n = as.length
-      val par = loadHead(as, q.vals, n)
-      var i = first
-      var a = if (n == 0) 0 else as(n - 1) + 1
-      while (a < width) {
-        val leaves = words(a)
-        var v = 0
-        while (v < leaves.length) {
-          topK(i) = top(par, leaves(v))
-          v += 1
-          i += 1
-        }
-        a += 1
-      }
-    }
-
-    /** Counts `q`'s slots, the first at `first`, some with an unknown s_D,
-      * from its AND on the prefix stack; if `q`'s s_D is known, the last
-      * value of an attribute whose slots are all unknown by subtraction.
-      */
-    private def counted(q: PatternCounter.Parent, first: Int, sD: Array[Int], topK: Array[Int]): Unit = {
-      val as = q.attrs
-      val n = as.length
-      val par = full.load(as, q.vals, n)
-      val parentSD = q.sD
-      var i = first
-      var a = if (n == 0) 0 else as(n - 1) + 1
-      while (a < width) {
-        val leaves = words(a)
-        val last = leaves.length - 1
-        var subtract = parentSD >= 0
-        var j = i
-        while (j <= i + last) {
-          if (sD(j) >= 0) subtract = false
-          j += 1
-        }
-        var sum = 0L
-        var v = 0
-        while (v <= last) {
-          if (v == last && subtract) {
-            sD(i) = (parentSD - sum).toInt
-            topK(i) = top(par, leaves(v))
-          } else {
-            slot(par, leaves(v), i, sD, topK)
-            sum += sD(i)
+      val base = if (as.length == 0) 0 else offset(as(as.length - 1) + 1)
+      var last = -1 // the wave position whose s_D is taken by subtraction
+      var sum = 0L // the s_D counted since the first value of last's attribute
+      var j = 0
+      while (j < ss.length) {
+        val g = base + ss(j)
+        val i = first + j
+        val leaf = leaves(g)
+        val d = group(g)
+        if (subtract && d > 0 && j + d <= ss.length && ss(j + d - 1) == ss(j) + d - 1) {
+          var u = i
+          while (u < i + d && sD(u) < 0) u += 1
+          if (u == i + d) {
+            last = u - 1
+            sum = 0L
           }
-          v += 1
-          i += 1
         }
-        a += 1
+        if (i == last) sD(i) = (q.sD - sum).toInt
+        else if (sD(i) < 0) {
+          sD(i) = size(par, leaf)
+          sum += sD(i)
+        }
+        topK(i) = top(par, leaf)
+        j += 1
       }
     }
   }

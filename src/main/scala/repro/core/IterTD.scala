@@ -26,9 +26,13 @@ final case class DetectionResult(
   * Every k searches the whole tree again and `examined` counts every
   * pattern each search visits, as in the paper. Only s_D, which does not
   * depend on k, is carried across the k of one run: the run keeps one
-  * [[TopDownSearch.Tree]], whose expanded nodes hold their children's s_D
-  * ([[TopDownSearch.Node.childSD]]), so a pattern's s_D is counted at
-  * most once per run and each later visit counts only its top-k. Each k's
+  * [[TopDownSearch.Tree]], whose expanded nodes list the child slots with
+  * `s_D ≥ τ_s` and hold those children ([[TopDownSearch.Node.slots]]), so
+  * a pattern's s_D is counted at most once per run, each later visit
+  * counts only the top-k of the listed children, and a child too small
+  * for τ_s is never counted again. Its first count is Apriori-gen's: a
+  * child that a lattice parent's list has already found too small is
+  * never counted at all. Each k's
   * `Res` is decided inside its search, wave by wave, from the clean flags
   * that search set on the nodes it reached: each search from the root
   * takes a new stamp, so a flag from an earlier k counts for nothing

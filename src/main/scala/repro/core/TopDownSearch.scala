@@ -13,10 +13,12 @@ import scala.collection.mutable
   * last one opened, counted with a single [[PatternCounter.countWave]]
   * call that names the wave by its parents, so the index counts each
   * child from its parent's AND and no child slot gets a [[Pattern]]; a
-  * node builds one only when a caller asks for it. A node keeps its
-  * children's s_D,
-  * so a search that reaches it again at another k (ITERTD keeps one tree
-  * per run) counts only their top-k.
+  * node builds one only when a caller asks for it. Each expanded node
+  * lists the child slots that can reach `τ_s` ([[Node.slots]]), and only
+  * those are counted: first the candidates that no lattice parent has
+  * ruled out (Apriori-gen), then the children with `s_D ≥ τ_s`, so a
+  * search that reaches the node again at another k (ITERTD keeps one
+  * tree per run) counts only their top-k.
   *
   * Expansion rule (Algorithm 1, lines 5–10): a node is pruned when its
   * dataset size is below `τ_s` (size is anti-monotone, so the whole
@@ -33,7 +35,8 @@ object TopDownSearch {
   /** A counted pattern with `s_D ≥ τ_s` over `width` attributes: its
     * dataset size, its top-k count at the last k that counted it (kept
     * live by the incremental engine), whether it is biased, and, once
-    * expanded, its children. `attrs` / `vals` are its constrained
+    * expanded, its children and the list of its child slots that can
+    * reach `τ_s`. `attrs` / `vals` are its constrained
     * attributes, ascending, and their values, unboxed for the counter and
     * the tree's lookups. `from` is its search-tree parent, the pattern
     * with its last constraint dropped (null at the root).
@@ -71,20 +74,21 @@ object TopDownSearch {
 
     var biased: Boolean = false
 
-    /** Each child's s_D, or [[PatternCounter.Unknown]] before it is first
-      * counted. This array and the one below are null until the node is
-      * expanded; then slot `offset(a) - offset(maxIdx + 1) + v` of each is
-      * the child with attribute `a` set to `v`, in
-      * [[Pattern.searchTreeChildren]]'s order. s_D does not depend on k,
-      * so a search that reaches this node again sends these to the
-      * counter, which then counts only top-k.
-      */
-    var childSD: Array[Int] = _
-
     /** Each child's node, or null when it has `s_D < τ_s` or was never
-      * counted.
+      * counted. Null until the node is expanded; then slot
+      * `offset(a) - offset(maxIdx + 1) + v` is the child with attribute
+      * `a` set to `v`, in [[Pattern.searchTreeChildren]]'s order.
       */
     var children: Array[Node] = _
+
+    /** The slots a search counts, ascending ([[PatternCounter.Parent.slots]]);
+      * null until the node is expanded. On expansion they are the
+      * candidates, the slots no lattice parent the tree holds has found
+      * too small (Apriori-gen, `Tree.candidates`); once counted, the slots whose child has
+      * `s_D ≥ τ_s`, each holding that child. s_D does not depend on k, so
+      * a search that reaches this node again counts only their top-k.
+      */
+    var slots: Array[Int] = _
 
     /** The tree's stamp when a search last reached this node
       * ([[Tree.search]]); `clean` holds only while it is the tree's.
@@ -111,13 +115,27 @@ object TopDownSearch {
       timedOut: Boolean,
   )
 
-  /** The search tree of one schema, searched under `bound` and `τ_s`. */
+  /** The search tree of one schema, searched under `bound` and `τ_s`.
+    * Its nodes' slot lists ([[Node.slots]]) are built by [[candidates]]
+    * when a node is expanded and shrunk by [[search]] after its count.
+    */
   private[repro] final class Tree(counter: PatternCounter, bound: BiasBound, tauS: Long) {
     private val width = counter.width
     private val domainSizes = counter.domainSizes.toArray
 
     /** `offset(a)`: number of (attribute, value) pairs on attributes below `a`. */
     val offset: Array[Int] = domainSizes.scanLeft(0)(_ + _).toArray
+
+    /** `attrOf(g)` / `valOf(g)`: the attribute and value of pair `g = offset(a) + v`. */
+    private val attrOf = new Array[Int](offset(width))
+    private val valOf = new Array[Int](offset(width))
+    for (a <- 0 until width; v <- 0 until domainSizes(a)) {
+      attrOf(offset(a) + v) = a
+      valOf(offset(a) + v) = v
+    }
+
+    /** [[candidates]]' scratch list, one entry per (attribute, value) pair. */
+    private val buffer = new Array[Int](offset(width))
 
     /** The root; it is never counted, never biased and always clean. */
     val root: Node = new Node(width, counter.datasetSize)
@@ -214,23 +232,84 @@ object TopDownSearch {
       }
     }
 
+    /** Expands `n` unless a search expanded it before: its children array,
+      * and its candidate slots as its list.
+      */
     private def expand(n: Node): Unit = if (n.children eq null) {
-      val slots = offset(width) - offset(n.maxIdx + 1)
-      n.childSD = Array.fill(slots)(PatternCounter.Unknown)
-      n.children = new Array[Node](slots)
+      val all = offset(width) - offset(n.maxIdx + 1)
+      n.children = new Array[Node](all)
+      n.slots = if (n.from eq null) Array.range(0, all) else candidates(n)
+    }
+
+    /** Apriori-gen (Agrawal & Srikant, VLDB 1994): the slots of `n` whose
+      * child no lattice parent the tree holds has found too small. The
+      * child on (a, v) has, besides `n`, one lattice parent per constraint
+      * `j` of `n`: the child on (a, v) of the parent that drops `j`,
+      * `from` for the last constraint and [[up]] for the others. Where
+      * that node is expanded, its list holds every slot whose child can
+      * have `s_D ≥ τ_s` (a candidate list before its count, a superset),
+      * and s_D is anti-monotone, so `n` keeps only the slots every such
+      * list holds: a merge of sorted lists in [[buffer]], starting from
+      * `from`'s slots above `n`'s last attribute.
+      */
+    private def candidates(n: Node): Array[Int] = {
+      val fs = n.from.slots
+      val shift = offset(n.maxIdx + 1) - offset(n.from.maxIdx + 1) // n's slot s is from's s + shift
+      var j = java.util.Arrays.binarySearch(fs, shift)
+      if (j < 0) j = -j - 1
+      var len = 0
+      while (j < fs.length) {
+        buffer(len) = fs(j) - shift
+        len += 1
+        j += 1
+      }
+      // The other parents end on n's last attribute, as n does, so their slots are n's.
+      val last = n.attrs.length - 1
+      var c = 0
+      while (c < last && len > 0) {
+        val q = up(n, c)
+        if ((q ne null) && (q.slots ne null)) len = intersect(q.slots, len)
+        c += 1
+      }
+      java.util.Arrays.copyOf(buffer, len)
+    }
+
+    /** Keeps the first `len` entries of [[buffer]] that `qs` holds too, in
+      * place; returns their number. Both are ascending.
+      */
+    private def intersect(qs: Array[Int], len: Int): Int = {
+      var kept = 0
+      var i = 0
+      var j = 0
+      while (i < len && j < qs.length) {
+        val s = buffer(i)
+        if (s < qs(j)) i += 1
+        else if (s > qs(j)) j += 1
+        else {
+          buffer(kept) = s
+          kept += 1
+          i += 1
+          j += 1
+        }
+      }
+      kept
     }
 
     /** Algorithm 1 at `k` below `parents`. Expands every parent and every
-      * node it opens, unless a search at an earlier k expanded it already.
-      * The `sD` / `topK` arrays of a wave's one [[PatternCounter.countWave]]
-      * call line up with its parents' slots, the s_D of children counted
-      * before passed in as known. Every counted s_D is kept in the
-      * parent's `childSD`. A child with `s_D ≥ τ_s` is created from its
-      * parent and its slot's (attribute, value) and written into that
-      * slot, or, if a search at an earlier k put it there, gets its count
-      * and biased flag overwritten. A wave with nothing to count ends the
-      * search without a [[PatternCounter.countWave]] call; the budget is
-      * checked before each wave that has patterns to count.
+      * node it opens, unless a search at an earlier k expanded it already
+      * ([[expand]]). A wave's one [[PatternCounter.countWave]] call counts
+      * only the slots its parents list, its `sD` / `topK` arrays lining up
+      * with them; a listed slot that holds a child, counted at an earlier
+      * k, passes that child's s_D in as known. A child with `s_D ≥ τ_s` is
+      * created from its parent and its slot's (attribute, value) and
+      * written into that slot, or, if a search at an earlier k put it
+      * there, gets its count and biased flag overwritten. After its count a
+      * parent's list keeps only those slots; it is rebuilt only if a slot
+      * was dropped. `examined` adds every slot of every wave, listed or
+      * not, as a search that counts every child would. A wave with nothing
+      * listed makes no [[PatternCounter.countWave]] call, and one with no
+      * slots ends the search; the budget is checked before each wave that
+      * has slots.
       *
       * Each node reached takes the tree's stamp and is decided in the
       * wave by [[parentsClean]]: clean if it is not biased, most general
@@ -251,65 +330,73 @@ object TopDownSearch {
       }
       while (wave.length > 0 && !timedOut) {
         var size = 0
+        var listed = 0
         var p = 0
         while (p < wave.length) {
           expand(wave(p))
           size += wave(p).children.length
+          listed += wave(p).slots.length
           p += 1
         }
         if (size == 0) wave = Array.empty
         else if (budget.expired) timedOut = true
         else {
-          val sD = new Array[Int](size)
-          val topK = new Array[Int](size)
+          val sD = new Array[Int](listed)
+          val topK = new Array[Int](listed)
           var i = 0
           p = 0
           while (p < wave.length) {
-            val known = wave(p).childSD
-            System.arraycopy(known, 0, sD, i, known.length)
-            i += known.length
+            val parent = wave(p)
+            val ss = parent.slots
+            var j = 0
+            while (j < ss.length) {
+              val c = parent.children(ss(j))
+              sD(i) = if (c eq null) PatternCounter.Unknown else c.sD.toInt
+              i += 1
+              j += 1
+            }
             p += 1
           }
-          counter.countWave(ArraySeq.unsafeWrapArray(wave), k, sD, topK)
+          if (listed > 0) counter.countWave(ArraySeq.unsafeWrapArray(wave), k, sD, topK)
           examined += size
-          val first = opened.length
+          val firstOpened = opened.length
           i = 0
           p = 0
           while (p < wave.length) {
             val parent = wave(p)
-            var slot = 0
-            var a = parent.maxIdx + 1
-            while (a < width) {
-              var v = 0
-              while (v < domainSizes(a)) {
-                val d = sD(i)
-                parent.childSD(slot) = d
-                if (d >= tauS) {
-                  val cnt = topK(i)
-                  var n = parent.children(slot)
-                  if (n eq null) {
-                    n = parent.child(a, v, d, cnt)
-                    parent.children(slot) = n
-                  } else n.cnt = cnt
-                  n.stamp = stamp
-                  n.biased = bound.biased(cnt, d, k)
-                  val pc = parentsClean(n)
-                  n.clean = !n.biased && pc
-                  if (!n.biased) opened += n
-                  else if (pc) mostGeneral += n
-                }
-                v += 1
-                slot += 1
-                i += 1
+            val ss = parent.slots
+            val first = offset(parent.maxIdx + 1)
+            var kept = 0
+            var j = 0
+            while (j < ss.length) {
+              val d = sD(i)
+              if (d >= tauS) {
+                val s = ss(j)
+                ss(kept) = s
+                kept += 1
+                val cnt = topK(i)
+                var n = parent.children(s)
+                if (n eq null) {
+                  n = parent.child(attrOf(first + s), valOf(first + s), d, cnt)
+                  parent.children(s) = n
+                } else n.cnt = cnt
+                n.stamp = stamp
+                n.biased = bound.biased(cnt, d, k)
+                val pc = parentsClean(n)
+                n.clean = !n.biased && pc
+                if (!n.biased) opened += n
+                else if (pc) mostGeneral += n
               }
-              a += 1
+              i += 1
+              j += 1
             }
+            if (kept < ss.length) parent.slots = java.util.Arrays.copyOf(ss, kept)
             p += 1
           }
-          wave = new Array[Node](opened.length - first)
+          wave = new Array[Node](opened.length - firstOpened)
           i = 0
           while (i < wave.length) {
-            wave(i) = opened(first + i)
+            wave(i) = opened(firstOpened + i)
             i += 1
           }
         }

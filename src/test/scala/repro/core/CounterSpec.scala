@@ -61,7 +61,7 @@ class CounterSpec extends SparkSpec {
       val ranks = KernelBatches.matchingRanks(rix, batches.head._2)
       for (k <- KernelBatches.ks(n); (name, patterns) <- batches) {
         val children = KernelBatches.children(rix.domainSizes, patterns)
-        val parents = patterns.map(KernelBatches.parent(ranks, _))
+        val parents = patterns.map(KernelBatches.parent(rix.domainSizes, ranks, _))
         val preset = KernelBatches.mixedSizes(children.size, rnd)
         val sD = preset.clone()
         val topK = new Array[Int](children.size)
@@ -87,7 +87,7 @@ class CounterSpec extends SparkSpec {
       assert(preset.count(_ < 0) * KernelBatches.words(rix) >= DatasetIndex.ParallelWork, name)
       val sD = preset.clone()
       val topK = new Array[Int](children.size)
-      counter.countWave(patterns.map(KernelBatches.parent(ranks, _)), k, sD, topK)
+      counter.countWave(patterns.map(KernelBatches.parent(rix.domainSizes, ranks, _)), k, sD, topK)
       val wrong = KernelBatches.wrongSlots(ranks, children, k, preset, sD, topK)
       assert(wrong.isEmpty, s"k=$k parents=$name: ${wrong.take(5).map(children)}")
     }
@@ -101,7 +101,8 @@ class CounterSpec extends SparkSpec {
         val children = KernelBatches.children(rix.domainSizes, patterns)
         val parents = patterns.map { q =>
           val as = q.attrs.toArray
-          KernelBatches.WaveParent(as, as.map(q.vals), PatternCounter.Unknown)
+          val all = Array.range(0, q.searchTreeChildren(rix.domainSizes).size)
+          KernelBatches.WaveParent(as, as.map(q.vals), PatternCounter.Unknown, all)
         }
         if (parallel) assert(children.size * KernelBatches.words(rix) >= DatasetIndex.ParallelWork, name)
         for (k <- KernelBatches.waveKs(rix.size)) {
@@ -119,15 +120,19 @@ class CounterSpec extends SparkSpec {
   }
 
   test("the default countWave is one countBatch call with the wave's child patterns in slot order, and keeps known s_D") {
+    // Every slot listed, then partial lists: only the listed children's
+    // patterns are built, in wave order.
     val rix = RandomData.index(seed = 302, n = 129, m = 4)
     val rnd = new scala.util.Random(302)
     val batches = KernelBatches.batches(rix.domainSizes, rnd)
     val ranks = KernelBatches.matchingRanks(rix, batches.head._2)
     val local = new LocalPatternCounter(rix)
-    for (k <- KernelBatches.ks(rix.size); (name, parents) <- batches) {
-      val children = KernelBatches.children(rix.domainSizes, parents)
-      val wave = parents.map(KernelBatches.parent(ranks, _))
-      val preset = KernelBatches.mixedSizes(children.size, rnd)
+    for (k <- KernelBatches.ks(rix.size); (name, parents) <- batches; partial <- Seq(false, true)) {
+      val full = parents.map(KernelBatches.parent(rix.domainSizes, ranks, _))
+      val wave = if (partial) KernelBatches.sublists(rix.domainSizes, full, rnd) else full
+      val children = KernelBatches.listed(rix.domainSizes, wave)
+      if (!partial) assert(children == KernelBatches.children(rix.domainSizes, parents))
+      val preset = if (children.isEmpty) Array.emptyIntArray else KernelBatches.mixedSizes(children.size, rnd)
       // overrides countBatch only: records each call's patterns
       val calls = scala.collection.mutable.ArrayBuffer.empty[Vector[Pattern]]
       val batch = new PatternCounter {

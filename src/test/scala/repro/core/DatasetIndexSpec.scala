@@ -118,7 +118,7 @@ class DatasetIndexSpec extends AnyFunSuite {
       val ranks = KernelBatches.matchingRanks(rix, batches.head._2)
       for (k <- KernelBatches.ks(n); (name, patterns) <- batches) {
         val children = KernelBatches.children(rix.domainSizes, patterns)
-        val parents = patterns.map(KernelBatches.parent(ranks, _))
+        val parents = patterns.map(KernelBatches.parent(rix.domainSizes, ranks, _))
         val preset = KernelBatches.mixedSizes(children.size, rnd)
         for (chunks <- Seq(0, 1, 7, parents.size)) {
           val (sD, topK) = wave(rix, parents, k, preset, chunks)
@@ -140,7 +140,7 @@ class DatasetIndexSpec extends AnyFunSuite {
       val children = KernelBatches.children(large.domainSizes, patterns)
       val preset = KernelBatches.mixedSizes(children.size, rnd)
       assert(preset.count(_ < 0) * KernelBatches.words(large) >= DatasetIndex.ParallelWork, name)
-      val (sD, topK) = wave(large, patterns.map(KernelBatches.parent(ranks, _)), k, preset)
+      val (sD, topK) = wave(large, patterns.map(KernelBatches.parent(large.domainSizes, ranks, _)), k, preset)
       val wrong = KernelBatches.wrongSlots(ranks, children, k, preset, sD, topK)
       assert(wrong.isEmpty, s"k=$k parents=$name: ${wrong.take(5).map(children)}")
     }
@@ -230,7 +230,7 @@ class DatasetIndexSpec extends AnyFunSuite {
       for ((name, patterns) <- batches; k <- KernelBatches.waveKs(n)) {
         val children = KernelBatches.children(rix.domainSizes, patterns)
         for (preset <- presets(children.size, rnd)) {
-          val (sD, topK) = wave(rix, patterns.map(KernelBatches.parent(ranks, _)), k, preset)
+          val (sD, topK) = wave(rix, patterns.map(KernelBatches.parent(rix.domainSizes, ranks, _)), k, preset)
           val wrong = KernelBatches.wrongSlots(ranks, children, k, preset, sD, topK)
           assert(wrong.isEmpty, s"n=$n k=$k parents=$name: ${wrong.take(5).map(children)}")
         }
@@ -244,7 +244,7 @@ class DatasetIndexSpec extends AnyFunSuite {
     val ranks = KernelBatches.matchingRanks(large, batches.head._2)
     for ((name, patterns) <- batches) {
       val children = KernelBatches.children(large.domainSizes, patterns)
-      val parents = patterns.map(KernelBatches.parent(ranks, _))
+      val parents = patterns.map(KernelBatches.parent(large.domainSizes, ranks, _))
       assert(children.size * KernelBatches.words(large) >= DatasetIndex.ParallelWork, name)
       for (k <- Seq(1, 64, 65, 129, large.size); preset <- presets(children.size, rnd)) {
         val (sD, topK) = wave(large, parents, k, preset)
@@ -283,7 +283,7 @@ class DatasetIndexSpec extends AnyFunSuite {
       val ranks = KernelBatches.matchingRanks(rix, batches.head._2)
       for ((name, patterns) <- batches; k <- KernelBatches.waveKs(n)) {
         val children = KernelBatches.children(rix.domainSizes, patterns)
-        val parents = patterns.map(KernelBatches.parent(ranks, _))
+        val parents = patterns.map(KernelBatches.parent(rix.domainSizes, ranks, _))
         val preset = Array.tabulate(children.size)(i => Int.MaxValue - i)
         for (chunks <- Seq(0, 1, 2, 7, parents.size)) {
           val (sD, topK) = wave(rix, parents, k, preset, chunks)
@@ -301,7 +301,7 @@ class DatasetIndexSpec extends AnyFunSuite {
       val ranks = KernelBatches.matchingRanks(rix, batches.head._2)
       for ((name, patterns) <- batches; k <- Seq(0, 1, 64, 65, 129, rix.size)) {
         val children = KernelBatches.children(rix.domainSizes, patterns)
-        val parents = patterns.map(KernelBatches.parent(ranks, _))
+        val parents = patterns.map(KernelBatches.parent(rix.domainSizes, ranks, _))
         val preset = knownByParent(rix, patterns, rnd)
         assert(preset.exists(_ >= 0) && preset.exists(_ < 0))
         val (sD, topK) = wave(rix, parents, k, preset)
@@ -338,7 +338,7 @@ class DatasetIndexSpec extends AnyFunSuite {
       if (g % 3 == 1 && v < sizes(g) - 1 || g % 3 == 2 && v == 0) preset(i) = Int.MaxValue - i
     }
     val high = parents.map { q =>
-      val p = KernelBatches.parent(ranks, q)
+      val p = KernelBatches.parent(rix.domainSizes, ranks, q)
       p.copy(sD = p.sD + 1)
     }
     for (k <- Seq(5, 64, 129)) {
@@ -374,12 +374,12 @@ class DatasetIndexSpec extends AnyFunSuite {
     val ranks = KernelBatches.matchingRanks(rix, all)
     val last = all.filter(_.maxIdx == rix.width - 1)
     assert(last.nonEmpty && KernelBatches.children(rix.domainSizes, last).isEmpty)
-    val (d0, t0) = wave(rix, last.map(KernelBatches.parent(ranks, _)), 5, Array.empty)
+    val (d0, t0) = wave(rix, last.map(KernelBatches.parent(rix.domainSizes, ranks, _)), 5, Array.empty)
     assert(d0.isEmpty && t0.isEmpty)
     val local = new LocalPatternCounter(rix)
     for ((name, patterns) <- batches; k <- KernelBatches.waveKs(rix.size)) {
       val children = KernelBatches.children(rix.domainSizes, patterns)
-      val parents = patterns.map(KernelBatches.parent(ranks, _))
+      val parents = patterns.map(KernelBatches.parent(rix.domainSizes, ranks, _))
       for (preset <- presets(children.size, rnd); ps <- Seq(parents, parents.map(_.copy(sD = PatternCounter.Unknown)))) {
         val (sD, topK) = wave(rix, ps, k, preset)
         val wrong = KernelBatches.wrongSlots(ranks, children, k, preset, sD, topK)
@@ -397,18 +397,148 @@ class DatasetIndexSpec extends AnyFunSuite {
   test("countWave rejects a parent that is not a pattern of the schema") {
     import KernelBatches.WaveParent
     val bad = Seq(
-      WaveParent(Array(1, 0), Array(0, 0), 4) -> "constraint 2 (attribute 0, value 0)",
-      WaveParent(Array(1, 1), Array(0, 1), 4) -> "constraint 2 (attribute 1, value 1)",
-      WaveParent(Array(4), Array(0), 4) -> "constraint 1 (attribute 4, value 0)",
-      WaveParent(Array(3), Array(3), 4) -> "constraint 1 (attribute 3, value 3)",
-      WaveParent(Array(2), Array(-1), 4) -> "constraint 1 (attribute 2, value -1)",
-      WaveParent(Array(0, 1), Array(0), 4) -> "parent 1 has 2 attributes and 1 values",
+      WaveParent(Array(1, 0), Array(0, 0), 4, Array.emptyIntArray) -> "constraint 2 (attribute 0, value 0)",
+      WaveParent(Array(1, 1), Array(0, 1), 4, Array.emptyIntArray) -> "constraint 2 (attribute 1, value 1)",
+      WaveParent(Array(4), Array(0), 4, Array.emptyIntArray) -> "constraint 1 (attribute 4, value 0)",
+      WaveParent(Array(3), Array(3), 4, Array.emptyIntArray) -> "constraint 1 (attribute 3, value 3)",
+      WaveParent(Array(2), Array(-1), 4, Array.emptyIntArray) -> "constraint 1 (attribute 2, value -1)",
+      WaveParent(Array(0, 1), Array(0), 4, Array.emptyIntArray) -> "parent 1 has 2 attributes and 1 values",
     )
     for ((q, msg) <- bad) {
-      val parents = Vector(WaveParent(Array.emptyIntArray, Array.emptyIntArray, 16), q)
+      val parents = Vector(WaveParent(Array.emptyIntArray, Array.emptyIntArray, 16, Array.emptyIntArray), q)
       val e = intercept[IllegalArgumentException](ix.countWave(parents, 5, new Array[Int](99), new Array[Int](99)))
       assert(e.getMessage.contains(msg), e.getMessage)
     }
+  }
+
+  // ---- slot lists: a wave counts only the slots its parents list ----
+
+  /** `preset`s for a wave of `slots` listed positions: every s_D unknown,
+    * and, if there is a position, a random mix.
+    */
+  private def listedPresets(slots: Int, rnd: scala.util.Random): Seq[Array[Int]] =
+    if (slots == 0) Seq(Array.emptyIntArray) else presets(slots, rnd)
+
+  test("countWave over partial and full slot lists, known and unknown s_D mixed, equals naive scans at the word boundaries of n and k") {
+    for (n <- KernelBatches.Sizes) {
+      val rix = RandomData.index(seed = n + 600, n = n, m = 4)
+      val rnd = new scala.util.Random(n + 600)
+      val batches = KernelBatches.batches(rix.domainSizes, rnd)
+      val ranks = KernelBatches.matchingRanks(rix, batches.head._2)
+      for ((name, patterns) <- batches; k <- KernelBatches.waveKs(n)) {
+        val full = patterns.map(KernelBatches.parent(rix.domainSizes, ranks, _))
+        for (parents <- Seq(full, KernelBatches.sublists(rix.domainSizes, full, rnd))) {
+          val listed = KernelBatches.listed(rix.domainSizes, parents)
+          for (preset <- listedPresets(listed.size, rnd); ps <- Seq(parents, parents.map(_.copy(sD = PatternCounter.Unknown)))) {
+            val (sD, topK) = wave(rix, ps, k, preset)
+            val wrong = KernelBatches.wrongSlots(ranks, listed, k, preset, sD, topK)
+            assert(wrong.isEmpty, s"n=$n k=$k parents=$name: ${wrong.take(5).map(listed)}")
+          }
+        }
+      }
+    }
+  }
+
+  test("countWave over slot lists gives identical arrays in 1, 7 and one chunk per parent, above the parallel threshold") {
+    val rnd = new scala.util.Random(16)
+    val batches = KernelBatches.batches(large.domainSizes, rnd)
+    val ranks = KernelBatches.matchingRanks(large, batches.head._2)
+    for ((name, patterns) <- batches) {
+      val parents = KernelBatches.sublists(large.domainSizes, patterns.map(KernelBatches.parent(large.domainSizes, ranks, _)), rnd)
+      val listed = KernelBatches.listed(large.domainSizes, parents)
+      assert(listed.size * KernelBatches.words(large) >= DatasetIndex.ParallelWork, name)
+      assert(listed.size < KernelBatches.children(large.domainSizes, patterns).size, name)
+      for (k <- Seq(1, 64, 65, 129, large.size); preset <- listedPresets(listed.size, rnd)) {
+        val (sD, topK) = wave(large, parents, k, preset)
+        val wrong = KernelBatches.wrongSlots(ranks, listed, k, preset, sD, topK)
+        assert(wrong.isEmpty, s"k=$k parents=$name: ${wrong.take(5).map(listed)}")
+        for (chunks <- Seq(1, 7, parents.size)) {
+          val (d, t) = wave(large, parents, k, preset, chunks)
+          assert(d.sameElements(sD) && t.sameElements(topK), s"k=$k parents=$name chunks=$chunks")
+        }
+      }
+    }
+  }
+
+  test("countWave takes a last sibling's s_D by subtraction only when the list holds all its attribute's values, all unknown, and the parent's s_D is known") {
+    // Each parent's s_D is passed in one too high, so a slot counted by
+    // subtraction reads one too high and every other slot is exact. Each
+    // (parent, attribute) group is listed whole with every s_D unknown
+    // (mode 0: subtracted), whole with one s_D known (1), without its last
+    // value (2), without its first value (3), or not at all (4).
+    val rix = RandomData.index(seed = 17, n = 129, m = 4)
+    val rnd = new scala.util.Random(17)
+    val patterns = KernelBatches.batches(rix.domainSizes, rnd).head._2
+    val ranks = KernelBatches.matchingRanks(rix, patterns)
+    val offset = rix.domainSizes.scanLeft(0)(_ + _)
+    val modes = scala.collection.mutable.Map.empty[Int, Int].withDefaultValue(0) // mode -> groups
+    val drawn = patterns.map { q =>
+      val first = q.maxIdx + 1
+      val groups = (first until rix.width).map { a =>
+        val from = offset(a) - offset(first)
+        val d = rix.domainSizes(a)
+        val mode = rnd.nextInt(5)
+        modes(mode) += 1
+        val slots = mode match {
+          case 0 | 1 => from until from + d
+          case 2 => from until from + d - 1
+          case 3 => from + 1 until from + d
+          case _ => from until from
+        }
+        val known = if (mode == 1) Set(slots(rnd.nextInt(slots.size))) else Set.empty[Int]
+        (slots, known, if (mode == 0) Set(from + d - 1) else Set.empty[Int])
+      }
+      val p = KernelBatches.parent(rix.domainSizes, ranks, q)
+      (p.copy(sD = p.sD + 1, slots = groups.flatMap(_._1).toArray), groups.flatMap(_._2).toSet, groups.flatMap(_._3).toSet)
+    }
+    assert((0 to 4).forall(modes(_) > 0), modes)
+    val high = drawn.map(_._1)
+    val listed = KernelBatches.listed(rix.domainSizes, high)
+    // per wave position: whether its s_D is passed in, and whether it is subtracted
+    val (known, subtracted) = drawn.flatMap { case (q, kn, sub) => q.slots.map(s => (kn(s), sub(s))) }.unzip
+    val preset = known.indices.map(i => if (known(i)) Int.MaxValue - i else PatternCounter.Unknown).toArray
+    assert(subtracted.contains(true))
+    for (k <- Seq(5, 64, 129)) {
+      val (sD, topK) = wave(rix, high, k, preset)
+      for (i <- listed.indices) {
+        val (d, t) = KernelBatches.naive(ranks, listed(i), k)
+        val expected = if (known(i)) preset(i) else if (subtracted(i)) d + 1 else d
+        assert(sD(i) == expected && topK(i) == t, s"k=$k position $i ${listed(i)}: ${(sD(i), topK(i))}")
+      }
+      val (d, t) = wave(rix, high.map(_.copy(sD = PatternCounter.Unknown)), k, preset)
+      val wrong = KernelBatches.wrongSlots(ranks, listed, k, preset, d, t)
+      assert(wrong.isEmpty, s"k=$k, parents' s_D unknown: ${wrong.take(5).map(listed)}")
+    }
+  }
+
+  test("countWave rejects an unsorted, repeated or out-of-range slot list, sequential and parallel") {
+    import KernelBatches.WaveParent
+    val root = WaveParent(Array.emptyIntArray, Array.emptyIntArray, 16, Array.range(0, 9))
+    // {Failures=1} has no slots; {Address=U} has the three of Failures
+    val bad = Seq(
+      WaveParent(Array(2), Array(1), 8, Array(0, 2, 1)) -> "listed slot 3 (1) is not above the one before it (2)",
+      WaveParent(Array(2), Array(1), 8, Array(1, 1)) -> "listed slot 2 (1) is not above the one before it (1)",
+      WaveParent(Array(2), Array(1), 8, Array(0, 3)) -> "listed slot 2 (3) is outside [0, 3)",
+      WaveParent(Array(2), Array(1), 8, Array(-1, 0)) -> "listed slot 1 (-1) is outside [0, 3)",
+      WaveParent(Array(3), Array(1), 8, Array(0)) -> "listed slot 1 (0) is outside [0, 0)",
+    )
+    for ((q, msg) <- bad) {
+      val e = intercept[IllegalArgumentException](ix.countWave(Vector(root, q), 5, new Array[Int](99), new Array[Int](99)))
+      assert(e.getMessage.contains(s"parent 1: $msg"), e.getMessage)
+    }
+    val patterns = KernelBatches.batches(large.domainSizes, new scala.util.Random(18)).head._2
+    val ranks = KernelBatches.matchingRanks(large, patterns)
+    val parents = patterns.map(KernelBatches.parent(large.domainSizes, ranks, _))
+    val slots = KernelBatches.children(large.domainSizes, patterns).size
+    assert(slots * KernelBatches.words(large) >= DatasetIndex.ParallelWork)
+    val p = parents.indexWhere(_.slots.length > 1)
+    val swapped = parents(p).slots.clone()
+    swapped(0) = swapped(1)
+    swapped(1) = parents(p).slots(0)
+    val e = intercept[IllegalArgumentException] {
+      new LocalPatternCounter(large).countWave(parents.updated(p, parents(p).copy(slots = swapped)), 5, new Array[Int](slots), new Array[Int](slots))
+    }
+    assert(e.getMessage.contains(s"parent $p: listed slot 2 (0) is not above the one before it (1)"), e.getMessage)
   }
 
   test("bitsets larger than the heap are rejected before allocating, naming the widest attribute") {

@@ -230,17 +230,49 @@ object KernelBatches {
   }
 
   /** A parent of a [[PatternCounter.countWave]] wave. */
-  final case class WaveParent(attrs: Array[Int], vals: Array[Int], sD: Long) extends PatternCounter.Parent
+  final case class WaveParent(attrs: Array[Int], vals: Array[Int], sD: Long, slots: Array[Int])
+      extends PatternCounter.Parent
 
-  /** `p` as a wave parent, with its s_D from [[matchingRanks]]. */
-  def parent(ranks: Map[Pattern, Array[Int]], p: Pattern): WaveParent = {
+  /** `p` as a wave parent that lists all its slots, with its s_D from [[matchingRanks]]. */
+  def parent(domainSizes: IndexedSeq[Int], ranks: Map[Pattern, Array[Int]], p: Pattern): WaveParent = {
     val as = p.attrs.toArray
-    WaveParent(as, as.map(p.vals), ranks(p).length.toLong)
+    WaveParent(as, as.map(p.vals), ranks(p).length.toLong, Array.range(0, p.searchTreeChildren(domainSizes).size))
   }
 
-  /** The slots of a wave over `parents`: their search-tree children, in order. */
+  /** The slots of a wave over `parents` that list all their slots: their
+    * search-tree children, in order.
+    */
   def children(domainSizes: IndexedSeq[Int], parents: Seq[Pattern]): Vector[Pattern] =
     parents.iterator.flatMap(_.searchTreeChildren(domainSizes)).toVector
+
+  /** The positions of a wave over `parents`: their listed children, in
+    * order, picked from [[Pattern.searchTreeChildren]].
+    */
+  def listed(domainSizes: IndexedSeq[Int], parents: Seq[PatternCounter.Parent]): Vector[Pattern] =
+    parents.iterator.flatMap { q =>
+      val all = Pattern.of(domainSizes.length, q.attrs.indices.map(i => q.attrs(i) -> q.vals(i)): _*).searchTreeChildren(domainSizes)
+      q.slots.iterator.map(all)
+    }.toVector
+
+  /** `parents`, each listing at random all its slots, none, one attribute's
+    * values, or a random subset.
+    */
+  def sublists(domainSizes: IndexedSeq[Int], parents: Seq[WaveParent], rnd: Random): Vector[WaveParent] =
+    parents.iterator.map { q =>
+      val all = q.slots
+      val first = if (q.attrs.isEmpty) 0 else q.attrs.last + 1
+      val keep = rnd.nextInt(4) match {
+        case 0 => all
+        case 1 => Array.emptyIntArray
+        case 2 if first < domainSizes.length =>
+          // the values of one attribute above the parent's last, all listed
+          val a = first + rnd.nextInt(domainSizes.length - first)
+          val from = domainSizes.slice(first, a).sum
+          Array.range(from, from + domainSizes(a))
+        case _ => all.filter(_ => rnd.nextBoolean())
+      }
+      q.copy(slots = keep)
+    }.toVector
 
   /** k at both sides of the first two word boundaries, 0 and `n`. */
   def waveKs(n: Int): Seq[Int] = (Seq(0, 1, 63, 64, 65, 127, 128, 129) :+ n).distinct
@@ -295,8 +327,9 @@ final class BatchLogCounter(inner: PatternCounter) extends PatternCounter {
 }
 
 /** Delegating counter that records, for every [[countWave]] call, the
-  * slots' patterns whose s_D the caller did not know (the ones whose s_D
-  * the call counts) and those whose s_D it passed in, in slot order.
+  * listed slots' patterns whose s_D the caller did not know (the ones
+  * whose s_D the call counts) and those whose s_D it passed in, in wave
+  * order. Slots a parent does not list are not counted and not recorded.
   */
 final class SizeLogCounter(inner: PatternCounter) extends PatternCounter {
   val unknown = scala.collection.mutable.ArrayBuffer.empty[Vector[Pattern]]
@@ -307,9 +340,7 @@ final class SizeLogCounter(inner: PatternCounter) extends PatternCounter {
   override def countBatch(patterns: Seq[Pattern], k: Int): Map[Pattern, (Long, Long)] =
     inner.countBatch(patterns, k)
   override def countWave(parents: IndexedSeq[PatternCounter.Parent], k: Int, sD: Array[Int], topK: Array[Int]): Unit = {
-    val patterns = parents.flatMap { q =>
-      Pattern.of(width, q.attrs.indices.map(i => q.attrs(i) -> q.vals(i)): _*).searchTreeChildren(domainSizes)
-    }
+    val patterns = KernelBatches.listed(domainSizes, parents)
     val (u, kn) = patterns.indices.partition(sD(_) < 0)
     unknown += u.map(patterns).toVector
     known += kn.map(patterns).toVector

@@ -93,11 +93,15 @@ class IterTDSpec extends AnyFunSuite {
   // ---- s_D carried across the k of one run ----
 
   test("running example, k ∈ [4,16]: each pattern's s_D is counted once per run, and afresh in the next run") {
+    // (bound, τ_s, examined, s_D counted, top-k of a known s_D counted):
+    // a search at a later k lists only the children an earlier one found
+    // with s_D ≥ τ_s, so examined − counted − known slots (482 and 326)
+    // are never sent to the counter.
     val runs = Seq(
-      (GlobalLowerBound(k => if (k < 10) 2.0 else 3.0), 4L, 828L),
-      (ProportionalLowerBound(0.9, 16), 5L, 453L),
+      (GlobalLowerBound(k => if (k < 10) 2.0 else 3.0), 4L, 828L, 53, 293),
+      (ProportionalLowerBound(0.9, 16), 5L, 453L, 27, 100),
     )
-    for ((bound, tauS, examined) <- runs) {
+    for ((bound, tauS, examined, sized, known) <- runs) {
       val log = new SizeLogCounter(counter)
       val first = IterTD.run(log, bound, tauS, 4, 16)
       val counted = log.sizeCounted
@@ -105,7 +109,8 @@ class IterTDSpec extends AnyFunSuite {
       assert(first.examined == examined)
       assert(counted.distinct == counted, s"$bound: an s_D counted twice in one run")
       assert(counted.toSet == reached, s"$bound")
-      assert(log.known.map(_.size).sum == examined - counted.size)
+      assert(counted.size == sized && log.known.map(_.size).sum == known, s"$bound")
+      assert(log.known.flatten.forall(ix.sizeD(_) >= tauS), s"$bound: a known slot below τ_s was listed")
       log.clear()
       val second = IterTD.run(log, bound, tauS, 4, 16)
       assert(second == first)

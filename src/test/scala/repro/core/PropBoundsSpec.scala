@@ -89,16 +89,21 @@ class PropBoundsSpec extends AnyFunSuite {
   }
 
   test("running example, k ∈ [4,16]: exact countBatch calls, none empty, for PROPBOUNDS and ITERTD") {
-    // One call per search wave that has patterns to count: a search below
-    // leaves only, or below no node at all, must not count an empty batch.
+    // One call per search wave that lists slots to count: a search below
+    // leaves only, below no node at all, or below nodes whose lists are
+    // empty must not count an empty batch. A batch holds the wave's listed
+    // slots only; `examined` still adds every slot of every wave, so the
+    // difference is the slots skipped: Apriori-gen's pruned candidates,
+    // and for ITERTD every child a search at an earlier k found below τ_s.
     val opt = new BatchLogCounter(counter)
     val base = new BatchLogCounter(counter)
     val optExamined = PropBounds.run(opt, 0.9, tauS = 5, kMin = 4, kMax = 16).examined
     val baseExamined = IterTD.run(base, ProportionalLowerBound(0.9, 16), tauS = 5, kMin = 4, kMax = 16).examined
     assert(opt.sizes.forall(_ > 0) && base.sizes.forall(_ > 0))
-    assert(opt.sizes.sum == optExamined && base.sizes.sum == baseExamined)
-    assert(opt.sizes.size == 6)
-    assert(base.sizes.size == 39)
+    assert(opt.sizes.sum == 27 && optExamined - opt.sizes.sum == 18)
+    assert(base.sizes.sum == 127 && baseExamined - base.sizes.sum == 326)
+    assert(opt.sizes.size == 4)
+    assert(base.sizes.size == 26)
   }
 
   test("the budget is checked once per k, between searches") {
